@@ -118,7 +118,7 @@ void BM_SimulatorCycle(benchmark::State& state) {
 BENCHMARK(BM_SimulatorCycle);
 
 void BM_ContingencyAdd(benchmark::State& state) {
-  stats::ContingencyTable table;
+  stats::FlatCountTable table(12);
   common::Xoshiro256 rng(1);
   int group = 0;
   for (auto _ : state) {
@@ -130,7 +130,7 @@ void BM_ContingencyAdd(benchmark::State& state) {
 BENCHMARK(BM_ContingencyAdd);
 
 void BM_GTest4096Bins(benchmark::State& state) {
-  stats::ContingencyTable table;
+  stats::FlatCountTable table(12);
   common::Xoshiro256 rng(1);
   for (int i = 0; i < 1000000; ++i) table.add(rng.next() & 0xFFF, i & 1);
   for (auto _ : state) benchmark::DoNotOptimize(table.g_test().minus_log10_p);

@@ -121,23 +121,6 @@ inline std::uint64_t transpose8x8(std::uint64_t x) {
   return x;
 }
 
-/// Spreads 64 per-lane byte values into 8 bit-plane words: bit L of
-/// planes[b] is bit b of bytes[L]. This is the byte->lane-word layout
-/// change the simulator's share inputs need, done as eight 8x8 block
-/// transposes instead of 8x64 single-bit inserts.
-inline void bytes_to_bit_planes(const std::uint8_t bytes[64],
-                                std::uint64_t planes[8]) {
-  for (unsigned b = 0; b < 8; ++b) planes[b] = 0;
-  for (unsigned blk = 0; blk < 8; ++blk) {
-    std::uint64_t x = 0;
-    for (unsigned l = 0; l < 8; ++l)
-      x |= static_cast<std::uint64_t>(bytes[8 * blk + l]) << (8 * l);
-    const std::uint64_t y = transpose8x8(x);
-    for (unsigned b = 0; b < 8; ++b)
-      planes[b] |= ((y >> (8 * b)) & 0xFFu) << (8 * blk);
-  }
-}
-
 /// Bit-sliced vertical counter: 64 independent saturating-free counters,
 /// one per lane, held column-wise (bit L of planes_[j] is bit j of lane L's
 /// count). add(w) increments every lane whose bit is set in w with a

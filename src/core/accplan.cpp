@@ -66,8 +66,8 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
       p.regime = AccRegime::kPacked;
   }
 
-  // Subset hosting: for every exact direct-table set, search for a
-  // minimal-width strict superset among the other exact direct-table sets.
+  // Subset hosting: for every exact set, search for a minimal-width strict
+  // superset among the other exact sets.
   // The inverted index lists, per observed point, the candidate sets
   // containing it in (width asc, id asc) order; scanning the probed set's
   // rarest point's list, the first strict superset found is automatically
@@ -77,7 +77,7 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
   if (options.fuse && !options.ttest) {
     std::vector<std::uint32_t> exact;
     for (std::size_t i = 0; i < n; ++i)
-      if (!sets[i].compacted && sets[i].direct_table)
+      if (!sets[i].compacted)
         exact.push_back(static_cast<std::uint32_t>(i));
     std::stable_sort(exact.begin(), exact.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
@@ -143,7 +143,7 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
   // Shard partition: greedy balance on a per-sample op-count estimate,
   // heaviest sets first (stable — ties keep input order), each to the
   // lightest shard. Shard membership only partitions work; every merge is
-  // per-set and chunk-ordered, so the shard count never affects statistics.
+  // a per-set integer add, so the shard count never affects statistics.
   const std::size_t num_shards = std::max<std::size_t>(
       1, std::min<std::size_t>(options.shards, std::max<std::size_t>(
                                                    live.size(), 1)));

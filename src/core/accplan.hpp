@@ -6,13 +6,12 @@
 // replays over every buffered sample. The plan makes three structural
 // optimizations that a per-set loop cannot:
 //
-//  * **Subset hosting.** An exact direct-table set whose observed points are
-//    a strict subset of another exact direct-table set in the same batch
-//    needs no per-sample accumulation at all: its contingency table is an
-//    exact integer marginal of the host's direct table (sum host keys that
-//    project onto each hosted key). Direct tables materialize their whole
-//    key space and never pool, so the marginal is bit-identical to
-//    accumulating the hosted set directly. A first-order campaign over a
+//  * **Subset hosting.** An exact set whose observed points are a strict
+//    subset of another exact set in the same batch needs no per-sample
+//    accumulation at all: its count table is an exact integer marginal of
+//    the host's (sum host keys that project onto each hosted key). Tables
+//    materialize their whole key space, so the marginal is bit-identical
+//    to accumulating the hosted set directly. A first-order campaign over a
 //    real design is dominated by such subsets (every probe inside a cone
 //    observes a subset of the cone's root), so hosting removes most sets
 //    from the hot loop entirely.
@@ -58,7 +57,6 @@ struct PlanSetInput {
   const std::vector<std::size_t>* points = nullptr;
   std::size_t observation_bits = 0;  ///< points x (1 or 2 under transitions)
   bool compacted = false;
-  bool direct_table = false;
 };
 
 struct PlanOptions {
@@ -69,8 +67,7 @@ struct PlanOptions {
   /// classic regime, so the oracle's work is untouched by plan structure.
   bool fuse = true;
   /// Exact sets at or below this width use the narrow conjunction regime
-  /// (must stay <= 8 so the trie's combo stack is bounded and every narrow
-  /// set is direct-indexed).
+  /// (must stay <= 8 so the trie's combo stack is bounded).
   std::size_t narrow_bits = 8;
   /// Requested probe-set shards for 2-D scheduling (clamped to the live-set
   /// count; 1 = classic chunk-only scheduling).
@@ -85,7 +82,7 @@ struct PlanOptions {
 /// executor keeps a stack of combo levels (level d holds the 2^d lane-mask
 /// conjunctions of the first d rows on the current trie path); kExpand
 /// reads level `depth` and writes level `depth + 1` from matrix row `arg`,
-/// kEmit popcounts level `depth` into batch-local set `arg`'s direct table.
+/// kEmit popcounts level `depth` into batch-local set `arg`'s count table.
 /// Sibling subtrees reuse the parent's level in place — the DFS
 /// linearization guarantees a level is fully consumed before a sibling
 /// overwrites it.

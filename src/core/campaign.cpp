@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -87,10 +88,10 @@ struct PreparedSet {
   std::vector<std::size_t> dense;  // indices into stable_points
   std::size_t observation_bits = 0;
   bool compacted = false;
-  bool direct_table = false;  // exact keys small enough to direct-index
   std::vector<std::string> aliases;  // folded probes / probe sets
-  stats::FlatCountTable table;                     // G-test mode
-  std::array<stats::MomentAccumulator, 2> moments;  // t-test mode
+  // Master accumulator: observation counts (G-test), or per-group
+  // Hamming-weight histograms keyed by weight (t-test).
+  stats::FlatCountTable table;
 };
 
 // One buffered sample: the observation-matrix row values at the sample cycle
@@ -121,30 +122,18 @@ struct ObservationHash {
   }
 };
 
-// Accumulators of one work cell (chunk x probe-set shard) for the probe sets
-// of one batch; merged into the master accumulators in cell order. G-test
-// sets use flat count tables (direct-indexed or open-addressed — no
-// per-observation node allocation); t-test sets accumulate an integer
-// Hamming-weight histogram per group, folded into the master moment
-// accumulators as weighted adds. Entries for sets owned by other shards (or
-// hosted sets) stay empty, and merging an empty table is a no-op.
-struct ChunkAccumulators {
-  std::vector<stats::FlatCountTable> tables;
-  std::vector<std::array<std::vector<std::uint64_t>, 2>> hw_hist;
-};
-
 // Per-worker scratch: a private simulator over the shared schedule,
 // reusable snapshot buffers, bit-sliced accumulation scratch, per-phase
-// timers — and the worker-lifetime direct-indexed tables. Direct tables
-// materialize their whole key space, so merging them is a commutative
-// integer array add: a worker accumulates them across every cell it runs
+// timers — and the worker-lifetime count tables of the batch's live sets.
+// Every table materializes its whole key space, so merging is a
+// commutative integer add: a worker accumulates across every cell it runs
 // and folds into the master exactly once (the thread pool's finalize hook),
-// skipping the cell-ordered reduction without costing determinism.
+// in any worker order, without costing determinism.
 struct WorkerCtx {
   explicit WorkerCtx(const sim::Schedule& schedule) : simulator(schedule) {}
   sim::Simulator simulator;
   std::vector<std::uint64_t> prev_snapshot;
-  std::vector<stats::FlatCountTable> direct_tables;
+  std::vector<stats::FlatCountTable> tables;
   std::vector<std::uint64_t> block_scratch;  // packed-regime staging tiles
   double simulate_seconds = 0.0;
   double accumulate_seconds = 0.0;
@@ -154,9 +143,7 @@ struct WorkerCtx {
 };
 
 // Exact probe sets at or below this observation width use the
-// conjunction-popcount histogram (no transpose, no per-lane work). Must
-// stay below FlatCountTable::kMaxDirectBits so those sets always hit the
-// direct-indexed table mode, where add() order cannot matter. 8 balances
+// conjunction-popcount histogram (no transpose, no per-lane work). 8 balances
 // the 2^bits expansion cost against the transpose path's per-lane table
 // updates (measured via SCA_DEBUG_ACC on the E2 campaign; the expansion
 // is one vector op per combo, so it wins as long as the per-key popcount
@@ -218,6 +205,39 @@ unsigned resolve_stages(unsigned requested) {
   return 1;
 }
 
+// A compacted n-signal set keys its table by its Hamming-weight pair
+// (hn << w) | hp: hn the sample cycle's weight, hp the previous cycle's
+// weight in the low w = bit_width(n) bits — or, without transitions, by hn
+// alone (w = 0). Ascending keys are then ascending (hn, hp), the G-test's
+// column order.
+unsigned hp_bits(std::size_t signals, bool transitions) {
+  return transitions ? static_cast<unsigned>(std::bit_width(signals)) : 0;
+}
+
+// Key space of a set's count table: an exact set's observation bits, a
+// compacted set's weight pair (see hp_bits), or under the t-test the
+// observation's Hamming weight.
+unsigned table_key_bits(const PreparedSet& p, bool transitions, bool ttest) {
+  if (ttest) return static_cast<unsigned>(std::bit_width(p.observation_bits));
+  if (!p.compacted) return static_cast<unsigned>(p.observation_bits);
+  return static_cast<unsigned>(std::bit_width(p.dense.size())) +
+         hp_bits(p.dense.size(), transitions);
+}
+
+// Welch t-test of a set's Hamming-weight table: each group's histogram is
+// folded into Welford moments in ascending-weight order, so t is a pure
+// function of the integer counts.
+stats::TTestResult hw_t_test(const stats::FlatCountTable& table) {
+  std::array<stats::MomentAccumulator, 2> moments;
+  std::vector<std::uint64_t> hist(std::size_t{1} << table.key_bits());
+  for (std::size_t group = 0; group < 2; ++group) {
+    for (std::size_t hw = 0; hw < hist.size(); ++hw)
+      hist[hw] = table.counts_for(hw)[group];
+    moments[group].add_weighted_histogram(hist.data(), hist.size());
+  }
+  return stats::welch_t_test(moments[0], moments[1]);
+}
+
 }  // namespace
 
 std::vector<const ProbeSetResult*> CampaignResult::top(std::size_t n) const {
@@ -249,18 +269,11 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   for (std::size_t i = 0; i < stable_points.size(); ++i)
     dense_index[stable_points[i]] = i;
 
-  // Exact keys are only sound when the full key space fits the table: once
-  // the bin cap forces overflow pooling, the group whose observations have
-  // higher entropy pools more of its mass and a spurious group difference
-  // appears. So: compact (Hamming-weight observations) whenever 2^bits
-  // could exceed the cap; exact keys must also fit a 64-bit word. The cap
-  // depends only on the options — computed once, not per probe set.
-  std::size_t bin_cap_bits = 0;
-  while ((std::size_t{2} << bin_cap_bits) <= options.max_bins_per_set &&
-         bin_cap_bits < 60)
-    ++bin_cap_bits;
+  // Observations wider than this are compacted to Hamming weights, so every
+  // exact set's key space fits a materialized count table.
   const std::size_t exact_limit =
-      std::min({options.max_observation_bits, bin_cap_bits, std::size_t{60}});
+      std::min<std::size_t>(options.max_observation_bits,
+                            stats::FlatCountTable::kMaxDirectBits);
 
   // Enumerate probe sets and dedupe by union observation: a pair whose union
   // equals another set's union (including any single probe) is statistically
@@ -305,11 +318,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       for (SignalId sig : obs) p.dense.push_back(dense_index.at(sig));
       p.observation_bits = obs.size() * (transitions ? 2 : 1);
       p.compacted = p.observation_bits > exact_limit;
-      p.direct_table = !p.compacted &&
-                       p.observation_bits <= stats::FlatCountTable::kMaxDirectBits;
-      p.table.set_bin_limit(options.max_bins_per_set);
-      if (p.direct_table)
-        p.table.init_direct(static_cast<unsigned>(p.observation_bits));
+      p.table = stats::FlatCountTable(table_key_bits(p, transitions, ttest));
       prepared.push_back(std::move(p));
     }
   }
@@ -530,17 +539,13 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   //
   // The bit-sliced path never leaves lane-word space until the final
   // histogram update, and inactive tail limbs are never read. Both paths
-  // feed identical integer counts into identical downstream operations, so
-  // their statistics are bit-identical (asserted by tests): direct tables
-  // are order-free integer arrays, and hashed chunk tables are unlimited
-  // (pooling only happens at the sorted master merge).
+  // add identical integer counts to order-free count tables, so their
+  // statistics are bit-identical (asserted by tests).
   const bool bitsliced = options.accumulation == Accumulation::kBitSliced;
   auto accumulate_impl = [&]<unsigned kLimbs>(
                              const accplan::AccumulationPlan& plan,
                              const std::vector<Sample>& buf,
-                             std::size_t shard_idx, ChunkAccumulators& acc,
-                             std::vector<stats::FlatCountTable>& direct_tables,
-                             WorkerCtx& ctx) {
+                             std::size_t shard_idx, WorkerCtx& ctx) {
     using Word = common::SimdWord<kLimbs>;
     const accplan::ShardProgram& prog = plan.shards[shard_idx];
     const std::size_t num_rows = plan.rows.size();
@@ -564,9 +569,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       std::array<std::uint16_t, 64> hw{};
       for (std::uint32_t l : prog.ttest) {
         const accplan::SetAccPlan& sp = plan.sets[l];
-        auto& hist = acc.hw_hist[l];
         for (const Sample& sample : buf) {
-          auto& h = hist[static_cast<std::size_t>(sample.group)];
+          // Weight w of this sample's group counts at entry 2 * w.
+          std::uint64_t* const h =
+              ctx.tables[l].data() + static_cast<std::size_t>(sample.group);
           if (bitsliced) {
             // TVLA: per-lane Hamming weight of the (extended) observation,
             // all lanes per vertical-counter pass.
@@ -578,7 +584,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                     sample, r + static_cast<std::uint32_t>(num_rows)));
             for (unsigned b = 0; b < sample.active; ++b) {
               vc.lane_counts(b, hw.data());
-              for (unsigned lane = 0; lane < 64; ++lane) ++h[hw[lane]];
+              for (unsigned lane = 0; lane < 64; ++lane) ++h[2 * hw[lane]];
             }
           } else {
             for (unsigned b = 0; b < sample.active; ++b) {
@@ -589,7 +595,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                   if (transitions)
                     w += (sample.prev[r * kLimbs + b] >> lane) & 1u;
                 }
-                ++h[w];
+                ++h[2 * w];
               }
             }
           }
@@ -603,9 +609,9 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t l = 0; l < plan.sets.size(); ++l) {
         const accplan::SetAccPlan& sp = plan.sets[l];
-        stats::FlatCountTable& table =
-            direct_tables[l].direct_mode() ? direct_tables[l] : acc.tables[l];
+        stats::FlatCountTable& table = ctx.tables[l];
         const bool compacted = sp.regime == accplan::AccRegime::kCompacted;
+        const unsigned hw_shift = hp_bits(sp.rows.size(), transitions);
         for (const Sample& sample : buf) {
           for (unsigned b = 0; b < sample.active; ++b) {
             for (unsigned lane = 0; lane < 64; ++lane) {
@@ -618,7 +624,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                   if (transitions)
                     hp += (sample.prev[r * kLimbs + b] >> lane) & 1u;
                 }
-                key = hn * 257u + hp;
+                key = (std::uint64_t{hn} << hw_shift) | hp;
               } else {
                 std::uint64_t obs = 0;
                 std::size_t bit = 0;
@@ -649,8 +655,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       // sibling subtrees reuse a level in place after it is consumed.
       // Level d of the combo stack lives at offset 2^d - 1 (depth is
       // capped at kPopcountBits, so the stack is 2^(kPopcountBits+1)-1
-      // words). Direct tables guaranteed (kPopcountBits < kMaxDirectBits),
-      // so add order is irrelevant to the stored integer counts.
+      // words).
       const auto t0 = std::chrono::steady_clock::now();
       std::array<Word, (std::size_t{2} << kPopcountBits) - 1> levels;
       for (const Sample& sample : buf) {
@@ -669,7 +674,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
             }
           } else {
             std::uint64_t* const counts =
-                direct_tables[op.arg].direct_data() +
+                ctx.tables[op.arg].data() +
                 static_cast<std::size_t>(sample.group);
             const std::size_t cnt = std::size_t{1} << op.depth;
             const Word* const lvl = levels.data() + (cnt - 1);
@@ -695,16 +700,14 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       // counter's bit-planes are the binary digits of the per-lane
       // counts, so conjunction-expanding pn (+ pp) planes yields one
       // lane-mask per (hn, hp) value and a popcount replaces 64 table
-      // updates. The add() insertion order differs from the per-lane
-      // reference, but chunk tables are unlimited (no pooling before
-      // the sorted master merge), so the accumulated counts match
-      // bin for bin.
+      // updates.
       const auto t0 = std::chrono::steady_clock::now();
       common::WideVerticalCounter<kLimbs> vc_now, vc_prev;
       std::vector<Word> hw_combos;
       for (std::uint32_t l : prog.compacted) {
         const accplan::SetAccPlan& sp = plan.sets[l];
-        stats::FlatCountTable& table = acc.tables[l];
+        std::uint64_t* const counts = ctx.tables[l].data();
+        const unsigned hw_shift = hp_bits(sp.rows.size(), transitions);
         for (const Sample& sample : buf) {
           vc_now.clear();
           for (std::uint32_t r : sp.rows) vc_now.add(code_word(sample, r));
@@ -745,9 +748,8 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
             const unsigned cnt = full ? hw_combos[c].popcount()
                                       : hw_combos[c].popcount(sample.active);
             if (!cnt) continue;
-            const std::uint64_t hn = c & hn_mask;
-            const std::uint64_t hp = c >> pn;
-            table.add(hn * 257u + hp, sample.group, cnt);
+            const std::uint64_t key = ((c & hn_mask) << hw_shift) | (c >> pn);
+            counts[2 * key + static_cast<std::size_t>(sample.group)] += cnt;
           }
         }
       }
@@ -765,10 +767,8 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       // Samples are staged in tiles so the block scratch stays in cache,
       // and each sub-pass (gather / transpose / key extraction) runs as a
       // separately-timed bulk loop over the tile. The key multiset per
-      // (sample, limb) equals the 64-lane reference's, just in a different
-      // insertion order — order-free for direct tables, and unlimited
-      // chunk tables pool only at the sorted master merge, so the counts
-      // stay bit-identical.
+      // (sample, limb) equals the 64-lane reference's, so the counts stay
+      // bit-identical.
       const auto packed_start = std::chrono::steady_clock::now();
       const std::size_t nblocks = prog.blocks.size();
       const std::size_t words_per_sample = nblocks * 64 * kLimbs;
@@ -807,11 +807,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
         ctx.transpose_seconds += std::chrono::duration<double>(t2 - t1).count();
         for (std::uint32_t l : prog.packed) {
           const accplan::SetAccPlan& sp = plan.sets[l];
-          stats::FlatCountTable& table = direct_tables[l].direct_mode()
-                                             ? direct_tables[l]
-                                             : acc.tables[l];
-          std::uint64_t* const direct =
-              table.direct_mode() ? table.direct_data() : nullptr;
+          std::uint64_t* const counts = ctx.tables[l].data();
           for (std::size_t s = 0; s < sn; ++s) {
             const Sample& sample = buf[s0 + s];
             const auto group = static_cast<std::size_t>(sample.group);
@@ -824,10 +820,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                   key |= common::extract_bits64(
                              base[std::size_t{g.block} * 64 + lane], g.mask)
                          << g.shift;
-                if (direct)
-                  ++direct[2 * key + group];
-                else
-                  table.add(key, static_cast<int>(sample.group));
+                ++counts[2 * key + group];
               }
             }
           }
@@ -841,21 +834,16 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   };
   auto accumulate = [&](const accplan::AccumulationPlan& plan,
                         const std::vector<Sample>& buf, std::size_t shard_idx,
-                        ChunkAccumulators& acc,
-                        std::vector<stats::FlatCountTable>& direct_tables,
                         WorkerCtx& ctx) {
     switch (limbs) {
       case 1:
-        accumulate_impl.template operator()<1>(plan, buf, shard_idx, acc,
-                                               direct_tables, ctx);
+        accumulate_impl.template operator()<1>(plan, buf, shard_idx, ctx);
         break;
       case 4:
-        accumulate_impl.template operator()<4>(plan, buf, shard_idx, acc,
-                                               direct_tables, ctx);
+        accumulate_impl.template operator()<4>(plan, buf, shard_idx, ctx);
         break;
       case 8:
-        accumulate_impl.template operator()<8>(plan, buf, shard_idx, acc,
-                                               direct_tables, ctx);
+        accumulate_impl.template operator()<8>(plan, buf, shard_idx, ctx);
         break;
       default:
         SCA_ASSERT(false, "campaign: unsupported limb count");
@@ -873,12 +861,12 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   // workload — never on the thread count or the lane width — so every
   // thread count and every lane width produces bit-identical statistics
   // (wide execution blocks align to the chunk start; a chunk tail shorter
-  // than the lane width just runs with inactive limbs). ~256 chunks bound
-  // the ordered merge overhead while load-balancing well beyond any sane
-  // thread count. Campaigns of at least 256 runs round the chunk size up
-  // to the widest limb count, so the steady-state execution block is full
-  // at every lane width; tiny campaigns keep the fine seed grid instead —
-  // stage/early-stop granularity matters more than SIMD width there.
+  // than the lane width just runs with inactive limbs). ~256 chunks
+  // load-balance well beyond any sane thread count. Campaigns of at least
+  // 256 runs round the chunk size up to the widest limb count, so the
+  // steady-state execution block is full at every lane width; tiny
+  // campaigns keep the fine seed grid instead — stage/early-stop
+  // granularity matters more than SIMD width there.
   const std::size_t runs_per_chunk = [&] {
     const std::size_t fine = common::ceil_div(runs_per_group, std::size_t{256});
     if (runs_per_group < 256) return fine;
@@ -902,10 +890,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
           : 1;
 
   // Stage boundaries over the chunk grid. A stage is a contiguous chunk
-  // range; because every chunk draws from its own seeded stream and the
-  // master merge is chunk-ordered, running the ranges back to back (in one
-  // process or across a checkpoint/resume) is bit-identical to one
-  // uninterrupted pass over [0, num_chunks).
+  // range; because every chunk's randomness is addressed by absolute run
+  // and the master accumulators are integer counts, running the ranges back
+  // to back (in one process or across a checkpoint/resume) is bit-identical
+  // to one uninterrupted pass over [0, num_chunks).
   std::vector<std::size_t> stage_bounds;
   {
     std::vector<double> fractions = options.stage_schedule;
@@ -931,14 +919,13 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   }
   const std::size_t stages_total = stage_bounds.size() - 1;
 
-  // Split the probe sets into batches whose contingency tables fit the
-  // memory budget; the simulation re-runs per batch (it is cheap next to
-  // table accumulation, and the chunk seeds make passes identical). Each
-  // worker holds its own in-flight chunk tables, so the per-batch share of
-  // the budget shrinks with the thread count. Master and chunk tables are
-  // both flat (two 64-bit counts per direct slot, ~3 words per hashed slot
-  // at half load); 64 bytes/bin covers the master plus one in-flight chunk
-  // table.
+  // Split the probe sets into batches whose count tables fit the memory
+  // budget; the simulation re-runs per batch (it is cheap next to table
+  // accumulation, and the chunk seeds make passes identical). Each worker
+  // holds its own tables, so the per-batch share of the budget shrinks with
+  // the thread count. The estimate charges 64 bytes per expected bin
+  // (compacted sets: 1024 bins), and an exact set at least its master and
+  // one worker table over the whole key space.
   constexpr std::size_t kBytesPerBin = 64;
   const std::size_t samples_total = 2 * runs_per_group * observations_per_run;
   const std::size_t batch_budget = std::max<std::size_t>(
@@ -951,16 +938,12 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       std::size_t budget_used = 0;
       while (end < prepared.size()) {
         const PreparedSet& set = prepared[end];
-        std::size_t est_bins = options.max_bins_per_set;
-        if (set.compacted) {
-          est_bins = std::min<std::size_t>(est_bins, 1024);
-        } else if (set.observation_bits < 40) {
-          est_bins = std::min<std::size_t>(
-              est_bins, std::size_t{1} << set.observation_bits);
-        }
-        est_bins = std::min(est_bins, samples_total);
+        const std::size_t est_bins = std::min(
+            set.compacted ? std::size_t{1024}
+                          : std::size_t{1} << set.observation_bits,
+            samples_total);
         std::size_t bytes = est_bins * kBytesPerBin;
-        if (set.direct_table)  // master + chunk table materialize the space
+        if (!set.compacted)
           bytes = std::max<std::size_t>(
               bytes, std::size_t{32} << set.observation_bits);
         if (end > begin && budget_used + bytes > batch_budget) break;
@@ -997,7 +980,6 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
         .feed(static_cast<std::uint64_t>(options.order))
         .feed(static_cast<std::uint64_t>(options.model))
         .feed(static_cast<std::uint64_t>(options.statistic))
-        .feed(static_cast<std::uint64_t>(options.max_bins_per_set))
         .feed(static_cast<std::uint64_t>(options.null_calibration ? 1 : 0))
         .feed(options.threshold);
     for (std::size_t b : stage_bounds)
@@ -1069,16 +1051,9 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                 "campaign: checkpoint accumulator count mismatch");
         for (std::size_t i = 0; i < snap.sets.size(); ++i) {
           PreparedSet& p = prepared[bb + i];
-          SetSnapshot& s = snap.sets[i];
-          require(s.has_table != ttest,
-                  "campaign: checkpoint accumulator kind mismatch");
-          if (ttest) {
-            p.moments = s.moments;
-          } else {
-            require(s.table.direct_mode() == p.direct_table,
-                    "campaign: checkpoint table mode mismatch");
-            p.table = std::move(s.table);
-          }
+          require(snap.sets[i].key_bits() == p.table.key_bits(),
+                  "campaign: checkpoint table key space mismatch");
+          p.table = std::move(snap.sets[i]);
         }
       }
       resumed = true;
@@ -1089,13 +1064,11 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   // One simulation pass over the chunks [chunk_begin, chunk_end) — one
   // evaluation stage — accumulating only the probe sets
   // [set_begin, set_end) under the batch's compiled plan, scheduled over
-  // the worker pool as (chunk x shard) cells. Cell results merge into the
-  // master tables strictly in cell order (workers park out-of-order cells
-  // in `pending`); cells of one chunk are drained consecutively and each
-  // set belongs to exactly one shard, so every set's master merge still
-  // sees ascending chunks — the bin-overflow pooling and the
-  // floating-point Welford merges stay deterministic, and the
-  // concatenation of stage passes stays bit-identical to one full pass.
+  // the worker pool as (chunk x shard) cells. Each worker accumulates every
+  // cell it runs into its own tables and adds them to the master tables
+  // once, when it drains. Integer adds commute, so neither the cell order
+  // nor the worker count can change a count, and the concatenation of
+  // stage passes stays bit-identical to one full pass.
   auto simulate_into = [&](const accplan::AccumulationPlan& plan,
                            const std::vector<SignalId>& row_signals,
                            std::size_t set_begin, std::size_t set_end,
@@ -1103,47 +1076,28 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     const std::size_t shards = plan.shards.size();
     const std::size_t local_count = set_end - set_begin;
     const std::size_t cells = (chunk_end - chunk_begin) * shards;
+    // Hosted sets get no accumulator at all — their counts are
+    // marginalized from their host after the stage.
+    auto live = [&](std::size_t l) {
+      return plan.sets[l].regime != accplan::AccRegime::kHosted;
+    };
     std::mutex merge_mutex;
-    std::map<std::size_t, ChunkAccumulators> pending;
-    std::size_t next_merge = 0;
 
     common::parallel_for_stateful(
         cells, threads,
         [&] {
           WorkerCtx ctx(schedule);
-          if (!ttest) {
-            // Direct-indexed live sets accumulate into worker-lifetime
-            // tables (commutative integer merges need no cell ordering);
-            // only hashed and compacted sets go through per-cell tables.
-            // Hosted sets get no accumulator at all — their counts are
-            // marginalized from their host after the stage.
-            ctx.direct_tables.resize(local_count);
-            for (std::size_t l = 0; l < local_count; ++l)
-              if (plan.sets[l].regime != accplan::AccRegime::kHosted &&
-                  prepared[set_begin + l].direct_table)
-                ctx.direct_tables[l].init_direct(static_cast<unsigned>(
-                    prepared[set_begin + l].observation_bits));
-          }
+          ctx.tables.resize(local_count);
+          for (std::size_t l = 0; l < local_count; ++l)
+            if (live(l))
+              ctx.tables[l] = stats::FlatCountTable(
+                  prepared[set_begin + l].table.key_bits());
           return ctx;
         },
         [&](WorkerCtx& ctx, std::size_t cell) {
           const std::size_t chunk = chunk_begin + cell / shards;
           const std::size_t shard = cell % shards;
           const CounterPrg prg(options.seed);
-          ChunkAccumulators acc;
-          if (ttest) {
-            acc.hw_hist.resize(local_count);
-            for (std::uint32_t l : plan.shards[shard].ttest)
-              for (auto& h : acc.hw_hist[l])
-                h.assign(prepared[set_begin + l].observation_bits + 1, 0);
-          } else {
-            // Cell tables (the non-direct sets' accumulators) carry no bin
-            // limit, mirroring the unlimited per-chunk maps of the scalar
-            // engine: pooling happens only at the deterministic master
-            // merge. Sets owned by other shards leave empty tables, whose
-            // merge is a no-op.
-            acc.tables.resize(local_count);
-          }
 
           const std::size_t run_begin = chunk * runs_per_chunk;
           const std::size_t run_end =
@@ -1158,10 +1112,6 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                 std::min<std::size_t>(limbs, run_end - run));
             buf.clear();
             const auto sim_start = std::chrono::steady_clock::now();
-            // Groups are interleaved so that a bin-limited table fills its
-            // key space from both groups evenly; running one group first
-            // would push the other group's tail keys into the overflow bin
-            // and fake a difference.
             for (int group = 0; group < 2; ++group) {
               sim::Simulator& simulator = ctx.simulator;
               simulator.reset();
@@ -1198,49 +1148,13 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
             const auto acc_start = std::chrono::steady_clock::now();
             ctx.simulate_seconds +=
                 std::chrono::duration<double>(acc_start - sim_start).count();
-            accumulate(plan, buf, shard, acc, ctx.direct_tables, ctx);
+            accumulate(plan, buf, shard, ctx);
             ctx.accumulate_seconds += seconds_since(acc_start);
           }
-
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          const auto merge_start = std::chrono::steady_clock::now();
-          pending.emplace(cell, std::move(acc));
-          for (auto it = pending.find(next_merge); it != pending.end();
-               it = pending.find(next_merge)) {
-            const ChunkAccumulators& ready = it->second;
-            const std::size_t ready_shard = next_merge % shards;
-            for (std::size_t l = 0; l < local_count; ++l) {
-              const accplan::SetAccPlan& sp = plan.sets[l];
-              if (sp.regime == accplan::AccRegime::kHosted ||
-                  sp.shard != ready_shard)
-                continue;
-              if (ttest) {
-                // Histogram counts fold into the master Welford state as
-                // weighted adds in ascending-weight order — a fixed
-                // per-chunk FP operation sequence, so the t statistic is
-                // bit-identical for any thread count and identical between
-                // the bit-sliced and scalar paths.
-                const auto& hist = ready.hw_hist[l];
-                for (int group = 0; group < 2; ++group) {
-                  const auto& h = hist[static_cast<std::size_t>(group)];
-                  prepared[set_begin + l]
-                      .moments[static_cast<std::size_t>(group)]
-                      .add_weighted_histogram(h.data(), h.size());
-                }
-              } else if (!prepared[set_begin + l].direct_table) {
-                prepared[set_begin + l].table.merge(ready.tables[l]);
-              }
-            }
-            pending.erase(it);
-            ++next_merge;
-          }
-          merge_seconds += seconds_since(merge_start);
         },
         [&](WorkerCtx& ctx) {
-          // Worker drained: fold its lifetime state into the master under
-          // the merge lock — the commutative direct-table reduction (one
-          // flat array add per table, any worker order) and the phase
-          // timers.
+          // Worker drained: add its tables and phase timers to the master
+          // under the merge lock, in whatever order the workers finish.
           std::lock_guard<std::mutex> lock(merge_mutex);
           simulate_seconds += ctx.simulate_seconds;
           accumulate_seconds += ctx.accumulate_seconds;
@@ -1248,16 +1162,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
           transpose_seconds += ctx.transpose_seconds;
           histogram_seconds += ctx.histogram_seconds;
           const auto merge_start = std::chrono::steady_clock::now();
-          if (!ttest) {
-            for (std::size_t l = 0; l < local_count; ++l)
-              if (plan.sets[l].regime != accplan::AccRegime::kHosted &&
-                  prepared[set_begin + l].direct_table)
-                prepared[set_begin + l].table.merge(ctx.direct_tables[l]);
-          }
+          for (std::size_t l = 0; l < local_count; ++l)
+            if (live(l)) prepared[set_begin + l].table.merge(ctx.tables[l]);
           merge_seconds += seconds_since(merge_start);
         });
-    SCA_ASSERT(next_merge == cells && pending.empty(),
-               "campaign: cell merge did not drain");
     const std::size_t run_begin = chunk_begin * runs_per_chunk;
     const std::size_t run_end =
         std::min(runs_per_group, chunk_end * runs_per_chunk);
@@ -1294,15 +1202,8 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     if (stages_done > 0 && batch_index < batch_ranges.size()) {
       const auto [bb, be] = batch_ranges[batch_index];
       snap.sets.reserve(be - bb);
-      for (std::size_t si = bb; si < be; ++si) {
-        SetSnapshot set;
-        set.has_table = !ttest;
-        if (ttest)
-          set.moments = prepared[si].moments;
-        else
-          set.table = prepared[si].table;
-        snap.sets.push_back(std::move(set));
-      }
+      for (std::size_t si = bb; si < be; ++si)
+        snap.sets.push_back(prepared[si].table);
     }
     save_checkpoint(options.checkpoint_path, snap);
   };
@@ -1378,8 +1279,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     for (std::size_t si = set_begin; si < set_end; ++si)
       plan_inputs.push_back({&prepared[si].dense,
                              prepared[si].observation_bits,
-                             prepared[si].compacted,
-                             prepared[si].direct_table});
+                             prepared[si].compacted});
     accplan::PlanOptions plan_options;
     plan_options.transitions = transitions;
     plan_options.ttest = ttest;
@@ -1434,9 +1334,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       if (want_interim) {
         for (std::size_t si = set_begin; si < set_end; ++si) {
           const double sev =
-              ttest ? std::abs(stats::welch_t_test(prepared[si].moments[0],
-                                                   prepared[si].moments[1])
-                                   .t)
+              ttest ? std::abs(hw_t_test(prepared[si].table).t)
                     : prepared[si].table.g_test().minus_log10_p;
           if (sev > threshold) ++leaks;
           if (sev > cur_max) {
@@ -1481,14 +1379,13 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       r.compacted = prepared[i].compacted;
       r.aliases = std::move(prepared[i].aliases);
       if (ttest) {
-        r.t = stats::welch_t_test(prepared[i].moments[0],
-                                  prepared[i].moments[1]);
+        r.t = hw_t_test(prepared[i].table);
         r.severity = std::abs(r.t.t);
       } else {
         r.g = prepared[i].table.g_test();
-        prepared[i].table = stats::FlatCountTable();
         r.severity = r.g.minus_log10_p;
       }
+      prepared[i].table = stats::FlatCountTable();
       r.minus_log10_p = r.severity;
       if (r.severity > finished_max) {
         finished_max = r.severity;

@@ -35,7 +35,7 @@ enum class Statistic {
 enum class Accumulation {
   /// 64-lane word-space hot path: carry-save vertical popcounts for
   /// Hamming-weight observations, one 64x64 bit-matrix transpose per sample
-  /// for exact keys, flat (open-addressed / direct-indexed) count tables.
+  /// for exact keys, direct-indexed count tables.
   kBitSliced,
   /// Reference path: per-lane bit extraction with scalar shifts. Produces
   /// bin-for-bin identical counts and bit-identical statistics — kept as
@@ -97,8 +97,9 @@ struct CampaignOptions {
   /// environment variable, else hardware concurrency). The campaign is
   /// bit-identical for every thread count: the run budget is split into
   /// fixed chunks, every fresh-randomness draw is a pure function of
-  /// (seed, cycle, slot) through the counter-mode PRG, and per-chunk
-  /// tables merge in chunk order.
+  /// (seed, cycle, slot) through the counter-mode PRG, and every
+  /// accumulator is an integer count table whose merge is a commutative
+  /// add.
   unsigned threads = 0;
 
   /// Simulation lane width: 64, 256, 512, or 0 = auto (the SCA_LANES
@@ -128,8 +129,10 @@ struct CampaignOptions {
   std::size_t samples_per_run = 32;
 
   /// Observations wider than this are compacted to Hamming weights per cycle
-  /// (PROLEAD's compact mode) to keep contingency tables meaningful.
-  std::size_t max_observation_bits = 20;
+  /// (PROLEAD's compact mode) to keep contingency tables meaningful. Values
+  /// above FlatCountTable::kMaxDirectBits (16) act as 16, so every exact
+  /// set's key space fits a materialized count table.
+  std::size_t max_observation_bits = 16;
 
   /// Fixed unmasked value per secret group for the fixed group of the test.
   /// Groups not listed default to 0x00.
@@ -145,16 +148,11 @@ struct CampaignOptions {
   /// are dropped and reported, never silently.
   std::size_t max_probe_sets = 0;
 
-  /// Distinct observation keys tracked per probe set; once exceeded, further
-  /// new keys pool into one overflow bin (gross leaks live in frequent keys,
-  /// and the G-test pools rare bins anyway).
-  std::size_t max_bins_per_set = 1u << 16;
-
   /// Approximate memory budget for contingency tables. Large order-2
   /// campaigns are split into probe-set batches, re-running the (cheap,
   /// seeded) simulation once per batch to stay under the budget. The budget
-  /// covers the master tables plus every worker's in-flight chunk tables,
-  /// so the per-batch share shrinks as the thread count grows.
+  /// covers the master tables plus every worker's own tables, so the
+  /// per-batch share shrinks as the thread count grows.
   std::size_t table_memory_budget = std::size_t{4096} * 1024 * 1024;
 
   // --- staged evaluation --------------------------------------------------
@@ -164,8 +162,8 @@ struct CampaignOptions {
   /// run). Stages partition the fixed chunk grid, so a staged campaign is
   /// bit-identical to an unstaged one: stage s covers chunks
   /// [round(s/S * chunks), round((s+1)/S * chunks)) and the master
-  /// accumulators after the last stage are the same integer counts / the
-  /// same Welford FP operation sequence either way.
+  /// accumulators after the last stage are the same integer counts either
+  /// way.
   unsigned stages = 0;
 
   /// Explicit stage schedule as cumulative budget fractions in (0, 1],
@@ -242,8 +240,9 @@ struct CampaignResult {
   std::size_t table_batches = 0;  ///< simulation passes under the memory budget
   /// Per-phase CPU time summed over all workers and batches: simulation
   /// (input feeding, settle, snapshot), statistics accumulation, and the
-  /// ordered chunk merge. On one thread these add up to ~wall time; with N
-  /// workers they can exceed it (they are CPU seconds, not wall seconds).
+  /// merge (workers' tables into the master, hosted-set marginals). On one
+  /// thread these add up to ~wall time; with N workers they can exceed it
+  /// (they are CPU seconds, not wall seconds).
   double simulate_seconds = 0.0;
   double accumulate_seconds = 0.0;
   double merge_seconds = 0.0;

@@ -14,10 +14,11 @@ using common::require;
 namespace {
 
 constexpr char kMagic[8] = {'S', 'C', 'A', 'C', 'K', 'P', 'T', '1'};
-// Version 2: the campaign switched to the counter-mode PRG (and wide-run
-// aligned chunk grids), so counts in version-1 snapshots were drawn from a
-// different randomness sequence and must not be resumed from.
-constexpr std::uint64_t kVersion = 2;
+// Version 3: every in-progress accumulator is a count table (key bits plus
+// nonzero (key, count, count) triples) — t-test sets included, which
+// version 2 stored as Welford moments — and tables carry no storage mode,
+// bin limit or overflow bin. Version-2 snapshots are rejected.
+constexpr std::uint64_t kVersion = 3;
 
 // Caps on vector lengths read from disk, so a corrupted count cannot
 // trigger an absurd allocation before the checksum check would catch it.
@@ -90,15 +91,7 @@ void write_payload(std::ostream& os, const CampaignSnapshot& snap) {
   common::write_u64(os, snap.finished.size());
   for (const auto& r : snap.finished) write_result(os, r);
   common::write_u64(os, snap.sets.size());
-  for (const auto& s : snap.sets) {
-    common::write_u8(os, s.has_table ? 1 : 0);
-    if (s.has_table) {
-      s.table.serialize(os);
-    } else {
-      s.moments[0].serialize(os);
-      s.moments[1].serialize(os);
-    }
-  }
+  for (const auto& table : snap.sets) table.serialize(os);
 }
 
 CampaignSnapshot read_payload(std::istream& is) {
@@ -124,17 +117,8 @@ CampaignSnapshot read_payload(std::istream& is) {
   const std::uint64_t nsets = common::read_u64(is);
   require(nsets <= kMaxSets, "checkpoint: set count out of range");
   snap.sets.reserve(static_cast<std::size_t>(nsets));
-  for (std::uint64_t i = 0; i < nsets; ++i) {
-    SetSnapshot s;
-    s.has_table = common::read_u8(is) != 0;
-    if (s.has_table) {
-      s.table = stats::FlatCountTable::deserialize(is);
-    } else {
-      s.moments[0] = stats::MomentAccumulator::deserialize(is);
-      s.moments[1] = stats::MomentAccumulator::deserialize(is);
-    }
-    snap.sets.push_back(std::move(s));
-  }
+  for (std::uint64_t i = 0; i < nsets; ++i)
+    snap.sets.push_back(stats::FlatCountTable::deserialize(is));
   return snap;
 }
 

@@ -3,12 +3,12 @@
 //
 // A snapshot freezes the campaign at a stage boundary: which table batches
 // are finalized (their exact ProbeSetResults), how many stages of the
-// in-progress batch have run (the chunk cursor), and the master accumulators
-// of that batch, bit-exact. No RNG state is stored — every chunk draws from
-// an independent stream seeded by chunk_seed(seed, chunk), so the cursor
-// alone determines every remaining draw. Because stages partition the fixed
-// chunk grid, a resumed campaign replays the identical merge sequence the
-// uninterrupted one would have run, for any thread count.
+// in-progress batch have run (the chunk cursor), and the master count tables
+// of that batch. No RNG state is stored — the counter-mode PRG addresses
+// every draw by absolute run, so the cursor alone determines every
+// remaining draw. Because stages partition the fixed chunk grid and every
+// accumulator is an integer count table, a resumed campaign ends with the
+// same counts as an uninterrupted one, for any thread count.
 //
 // Cross-path contract: the fingerprint deliberately excludes the thread
 // count, accumulation path (fused plan vs scalar oracle), SIMD lane width,
@@ -29,23 +29,14 @@
 // never interpreted.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/core/campaign.hpp"
 #include "src/stats/gtest_stat.hpp"
-#include "src/stats/ttest.hpp"
 
 namespace sca::eval {
-
-/// Master accumulators of one probe set of the in-progress batch.
-struct SetSnapshot {
-  bool has_table = false;  ///< G-test set (table) vs t-test set (moments)
-  stats::FlatCountTable table;
-  std::array<stats::MomentAccumulator, 2> moments;
-};
 
 /// Everything needed to continue a staged campaign from a stage boundary.
 struct CampaignSnapshot {
@@ -70,9 +61,11 @@ struct CampaignSnapshot {
   double merge_seconds = 0.0;
   /// Exact results of the finalized batches, in evaluation order.
   std::vector<ProbeSetResult> finished;
-  /// Master accumulators of the in-progress batch (empty when stages_done
-  /// is 0 or the snapshot is a batch boundary).
-  std::vector<SetSnapshot> sets;
+  /// Master count tables of the in-progress batch, one per probe set:
+  /// observation counts for the G-test, the two groups' Hamming-weight
+  /// histograms for the t-test (empty when stages_done is 0 or the
+  /// snapshot is a batch boundary).
+  std::vector<stats::FlatCountTable> sets;
 };
 
 /// Atomically writes `snapshot` to `path` (temp file + rename).

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/common/serialize.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/campaign.hpp"
@@ -127,7 +128,7 @@ SearchResult search_r7_reuse(const SearchOptions& options) {
     for (unsigned k = 0; k < 6; ++k)
       slots.push_back(gadgets::MaskSlotExpr{std::uint64_t{1} << k, false});
     slots.push_back(gadgets::MaskSlotExpr{std::uint64_t{1} << (i - 1), false});
-    candidates.emplace_back("kron1/search-r7-is-r" + std::to_string(i), 6,
+    candidates.emplace_back(common::make_name("kron1/search-r7-is-r", i), 6,
                             std::move(slots));
   }
   return evaluate_candidates(std::move(candidates), options);
@@ -216,7 +217,7 @@ Netlist kron2_netlist(const RandomnessPlan& plan) {
   std::vector<gadgets::Bus> shares;
   for (std::size_t i = 0; i < 3; ++i)
     shares.push_back(gadgets::make_input_bus(
-        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
+        nl, 8, netlist::InputRole::kShare, common::make_name("b", i, "_"), 0,
         static_cast<std::uint32_t>(i)));
   gadgets::build_kronecker(nl, shares, plan);
   return nl;
@@ -395,8 +396,8 @@ RandomnessPlan kron2_family13_plan(std::uint64_t index) {
   for (const std::uint64_t code : {g5, g6, g7})
     for (const unsigned v : decode_triple(code))
       slots.push_back(gadgets::MaskSlotExpr{std::uint64_t{1} << v, false});
-  return RandomnessPlan("kron2/family13-" + std::to_string(index), kFamilyBits,
-                        std::move(slots));
+  return RandomnessPlan(common::make_name("kron2/family13-", index),
+                        kFamilyBits, std::move(slots));
 }
 
 std::uint64_t kron2_family13_naive_index() {

@@ -1,6 +1,7 @@
 #include "src/gadgets/bus.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::gadgets {
 
@@ -20,7 +21,7 @@ Bus make_input_bus(Netlist& nl, std::size_t width, InputRole role,
     label.secret = secret;
     label.share = share;
     label.bit = static_cast<std::uint32_t>(i);
-    bus.push_back(nl.add_input(role, name + std::to_string(i), label));
+    bus.push_back(nl.add_input(role, common::make_name(name, i), label));
   }
   return bus;
 }
@@ -139,7 +140,7 @@ Bus apply_matrix(Netlist& nl, const gf::BitMatrix& m, const Bus& in) {
 
 void name_bus(Netlist& nl, const Bus& bus, const std::string& base) {
   for (std::size_t i = 0; i < bus.size(); ++i)
-    nl.name_signal(bus[i], base + std::to_string(i));
+    nl.name_signal(bus[i], common::make_name(base, i));
 }
 
 void set_bus_all_lanes(sim::Simulator& simulator, const Bus& bus,

@@ -1,6 +1,7 @@
 #include "src/gadgets/conversions2.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
 namespace sca::gadgets {
@@ -22,7 +23,7 @@ B2M2Result build_b2m2(Netlist& nl, const std::vector<Bus>& b_shares,
   std::vector<Bus> c(3);
   for (std::size_t i = 0; i < 3; ++i) {
     c[i] = reg_bus(nl, build_gf256_mul(nl, b_shares[i], r1));
-    name_bus(nl, c[i], "c" + std::to_string(i) + "_");
+    name_bus(nl, c[i], common::make_name("c", i, "_"));
   }
 
   // Cycle 2: compress 3 -> 2 (safe: C0 ^ C1 is blinded by R1 and still
@@ -87,7 +88,7 @@ M2B2Result build_m2b2(Netlist& nl, const Bus& q0, const Bus& q1, const Bus& q2,
                      build_gf256_mul(nl, w1, q0_d),
                      build_gf256_mul(nl, w2, q0_d)};
   for (std::size_t i = 0; i < 3; ++i)
-    name_bus(nl, result.b_shares[i], "b" + std::to_string(i) + "_");
+    name_bus(nl, result.b_shares[i], common::make_name("b", i, "_"));
 
   nl.pop_scope();
   return result;

@@ -1,6 +1,7 @@
 #include "src/gadgets/dom.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::gadgets {
 
@@ -31,10 +32,10 @@ DomAnd build_dom_and(Netlist& nl, const std::vector<SignalId>& x,
   for (std::size_t i = 0; i < s; ++i) {
     // Inner-domain term x^i y^i.
     SignalId inner = nl.and_(x[i], y[i]);
-    nl.name_signal(inner, "inner" + std::to_string(i));
+    nl.name_signal(inner, common::make_name("inner", i));
     if (register_inner) {
       inner = nl.reg(inner);
-      nl.name_signal(inner, "inner" + std::to_string(i) + "_reg");
+      nl.name_signal(inner, common::make_name("inner", i, "_reg"));
     }
     gadget.inner_regs[i] = inner;
 
@@ -46,18 +47,17 @@ DomAnd build_dom_and(Netlist& nl, const std::vector<SignalId>& x,
       const std::size_t mi = dom_mask_index(std::min(i, j), std::max(i, j), s);
       const SignalId cross_prod = nl.and_(x[i], y[j]);
       nl.name_signal(cross_prod,
-                     "crossprod" + std::to_string(i) + std::to_string(j));
+                     common::make_name("crossprod", i, j));
       const SignalId cross_raw = nl.xor_(cross_prod, masks[mi]);
-      nl.name_signal(cross_raw, "cross" + std::to_string(i) + std::to_string(j));
+      nl.name_signal(cross_raw, common::make_name("cross", i, j));
       const SignalId cross = nl.reg(cross_raw);
-      nl.name_signal(cross, "cross" + std::to_string(i) + std::to_string(j) +
-                                "_reg");
+      nl.name_signal(cross, common::make_name("cross", i, j, "_reg"));
       gadget.cross_regs[i].push_back(cross);
       acc = nl.xor_(acc, cross);
-      nl.name_signal(acc, "sum" + std::to_string(i) + std::to_string(j));
+      nl.name_signal(acc, common::make_name("sum", i, j));
     }
     gadget.out.push_back(acc);
-    nl.name_signal(acc, "out" + std::to_string(i));
+    nl.name_signal(acc, common::make_name("out", i));
   }
 
   nl.pop_scope();

@@ -1,6 +1,7 @@
 #include "src/gadgets/dom_gf.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/dom.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -47,18 +48,18 @@ DomGfMul build_dom_gf_mul(Netlist& nl, GfKind kind, const std::vector<Bus>& x,
   for (std::size_t i = 0; i < s; ++i) {
     // Inner-domain product, registered (pipelined like the paper's gadgets).
     Bus acc = reg_bus(nl, field_mul(nl, kind, x[i], y[i]));
-    name_bus(nl, acc, "inner" + std::to_string(i) + "_reg");
+    name_bus(nl, acc, common::make_name("inner", i, "_reg"));
     for (std::size_t j = 0; j < s; ++j) {
       if (j == i) continue;
       const std::size_t mi = dom_mask_index(std::min(i, j), std::max(i, j), s);
       Bus cross = field_mul(nl, kind, x[i], y[j]);
-      name_bus(nl, cross, "crossprod" + std::to_string(i) + std::to_string(j));
+      name_bus(nl, cross, common::make_name("crossprod", i, j));
       cross = reg_bus(nl, xor_bus(nl, cross, masks[mi]));
       name_bus(nl, cross,
-               "cross" + std::to_string(i) + std::to_string(j) + "_reg");
+               common::make_name("cross", i, j, "_reg"));
       acc = xor_bus(nl, acc, cross);
     }
-    name_bus(nl, acc, "out" + std::to_string(i));
+    name_bus(nl, acc, common::make_name("out", i));
     gadget.out.push_back(std::move(acc));
   }
   nl.pop_scope();
@@ -90,7 +91,7 @@ std::vector<Bus> build_ring_refresh(Netlist& nl, const std::vector<Bus>& shares,
       masked = xor_bus(nl, masked, masks[(i + 1) % s]);
     }
     out[i] = reg_bus(nl, masked);
-    name_bus(nl, out[i], "fresh" + std::to_string(i) + "_");
+    name_bus(nl, out[i], common::make_name("fresh", i, "_"));
   }
   nl.pop_scope();
   return out;

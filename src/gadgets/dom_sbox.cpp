@@ -1,6 +1,7 @@
 #include "src/gadgets/dom_sbox.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/dom_gf.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -69,8 +70,8 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
     const Bus tower = build_aes_to_tower(nl, in_shares[i]);
     lo[i] = reg_bus(nl, slice(tower, 0, 4));
     hi[i] = reg_bus(nl, slice(tower, 4, 4));
-    name_bus(nl, lo[i], "lo" + std::to_string(i) + "_reg");
-    name_bus(nl, hi[i], "hi" + std::to_string(i) + "_reg");
+    name_bus(nl, lo[i], common::make_name("lo", i, "_reg"));
+    name_bus(nl, hi[i], common::make_name("hi", i, "_reg"));
   }
 
   std::size_t cursor = 0;
@@ -89,7 +90,7 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
     const Bus lin = xor_bus(nl, build_gf16_mul_lambda(nl, build_gf16_sq(nl, hi[i])),
                             build_gf16_sq(nl, lo[i]));
     nu[i] = reg_bus(nl, xor_bus(nl, reg_bus(nl, lin), mult_lo_hi.out[i]));
-    name_bus(nl, nu[i], "nu" + std::to_string(i) + "_reg");
+    name_bus(nl, nu[i], common::make_name("nu", i, "_reg"));
   }
 
   // Stage 2: nu4 = w*n1^2 + n0^2 + n0*n1 over GF(2^2); inv4 = nu4^2.
@@ -107,7 +108,7 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
                             build_gf4_sq(nl, n0[i]));
     const Bus nu4 = xor_bus(nl, reg_bus(nl, lin), mult_n0_n1.out[i]);
     inv4[i] = build_gf4_sq(nl, nu4);  // inversion in GF(4) is squaring
-    name_bus(nl, inv4[i], "inv4_" + std::to_string(i) + "_");
+    name_bus(nl, inv4[i], common::make_name("inv4_", i, "_"));
   }
 
   // Stage 3: ninv halves. n0/n1 arrive from stage 2 (cycle 2) and must wait
@@ -137,7 +138,7 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
   std::vector<Bus> ninv(s);
   for (std::size_t i = 0; i < s; ++i) {
     ninv[i] = concat(mult_ninv_lo.out[i], mult_ninv_hi.out[i]);
-    name_bus(nl, ninv[i], "ninv" + std::to_string(i) + "_");
+    name_bus(nl, ninv[i], common::make_name("ninv", i, "_"));
   }
 
   // Stage 4: output halves. hi/lo (registered at cycle 1) wait four more
@@ -160,7 +161,7 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
         nl, concat(mult_out_lo.out[i], mult_out_hi.out[i]));
     if (options.include_affine)
       out = build_sbox_affine(nl, out, /*with_constant=*/i == 0);
-    name_bus(nl, out, "s" + std::to_string(i) + "_");
+    name_bus(nl, out, common::make_name("s", i, "_"));
     sbox.out_shares.push_back(std::move(out));
   }
 
@@ -174,17 +175,18 @@ DomSbox build_dom_sbox(Netlist& nl, const DomSboxOptions& options,
   std::vector<Bus> in_shares;
   for (std::size_t i = 0; i < options.share_count; ++i)
     in_shares.push_back(make_input_bus(nl, 8, InputRole::kShare,
-                                       "b" + std::to_string(i) + "_", secret,
+                                       common::make_name("b", i, "_"), secret,
                                        static_cast<std::uint32_t>(i)));
   std::vector<SignalId> masks;
   for (std::size_t k = 0; k < dom_sbox_mask_bits(options.share_count); ++k)
-    masks.push_back(nl.add_input(InputRole::kRandom, "m" + std::to_string(k)));
+    masks.push_back(
+        nl.add_input(InputRole::kRandom, common::make_name("m", k)));
   nl.pop_scope();
 
   DomSbox sbox = build_dom_sbox_core(nl, in_shares, masks, options, scope);
   for (std::size_t i = 0; i < sbox.out_shares.size(); ++i)
     for (std::size_t b = 0; b < 8; ++b)
-      nl.add_output("s" + std::to_string(i) + "_" + std::to_string(b),
+      nl.add_output(common::make_name("s", i, "_", b),
                     sbox.out_shares[i][b]);
   return sbox;
 }

@@ -1,6 +1,7 @@
 #include "src/gadgets/kronecker.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::gadgets {
 
@@ -28,7 +29,7 @@ KroneckerDelta build_kronecker(Netlist& nl, const std::vector<Bus>& x_shares,
   if (fresh_external.empty()) {
     for (std::size_t k = 0; k < plan.fresh_count(); ++k)
       kron.fresh.push_back(
-          nl.add_input(netlist::InputRole::kRandom, "f" + std::to_string(k)));
+          nl.add_input(netlist::InputRole::kRandom, common::make_name("f", k)));
   } else {
     require(fresh_external.size() == plan.fresh_count(),
             "build_kronecker: external fresh bit count mismatch");
@@ -45,7 +46,7 @@ KroneckerDelta build_kronecker(Netlist& nl, const std::vector<Bus>& x_shares,
       const SignalId bit =
           (i == 0) ? nl.not_(x_shares[i][b]) : x_shares[i][b];
       if (i == 0)
-        nl.name_signal(bit, "xn" + std::to_string(b) + "_s0");
+        nl.name_signal(bit, common::make_name("xn", b, "_s0"));
       inverted[i].push_back(bit);
     }
   }
@@ -68,7 +69,7 @@ KroneckerDelta build_kronecker(Netlist& nl, const std::vector<Bus>& x_shares,
   for (std::size_t g = 0; g < 4; ++g)
     layer1.push_back(build_dom_and(nl, bit_shares(2 * g), bit_shares(2 * g + 1),
                                    gate_masks(g + 1),
-                                   "G" + std::to_string(g + 1)));
+                                   common::make_name("G", g + 1)));
 
   // Layer 2: G5 = G1 & G2, G6 = G3 & G4.
   DomAnd g5 = build_dom_and(nl, layer1[0].out, layer1[1].out, gate_masks(5), "G5");
@@ -79,7 +80,7 @@ KroneckerDelta build_kronecker(Netlist& nl, const std::vector<Bus>& x_shares,
 
   kron.z = g7.out;
   for (std::size_t i = 0; i < s; ++i)
-    nl.name_signal(kron.z[i], "z" + std::to_string(i));
+    nl.name_signal(kron.z[i], common::make_name("z", i));
   kron.gates = std::move(layer1);
   kron.gates.push_back(std::move(g5));
   kron.gates.push_back(std::move(g6));

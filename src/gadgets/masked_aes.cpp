@@ -1,6 +1,7 @@
 #include "src/gadgets/masked_aes.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 
 namespace sca::gadgets {
@@ -78,11 +79,11 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
     for (std::uint32_t byte = 0; byte < 16; ++byte) {
       aes.pt[share].push_back(make_input_bus(
           nl, 8, InputRole::kShare,
-          "pt" + std::to_string(byte) + "_s" + std::to_string(share) + "_",
+          common::make_name("pt", byte, "_s", share, "_"),
           /*secret=*/byte, share));
       aes.key[share].push_back(make_input_bus(
           nl, 8, InputRole::kShare,
-          "key" + std::to_string(byte) + "_s" + std::to_string(share) + "_",
+          common::make_name("key", byte, "_s", share, "_"),
           /*secret=*/16 + byte, share));
     }
   }
@@ -99,15 +100,14 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
       for (std::uint32_t byte = 0; byte < 16; ++byte) {
         const std::uint32_t group = group_base + byte;
         nl.set_state_group_name(
-            group, nl.scope_prefix() + base + std::to_string(byte));
+            group, common::make_name(nl.scope_prefix(), base, byte));
         Bus bus;
         for (std::uint32_t bit = 0; bit < 8; ++bit) {
           bus.push_back(nl.make_reg_placeholder());
           nl.annotate_register(bus.back(), StateRole::kShare,
                                ShareLabel{group, share, bit});
         }
-        name_bus(nl, bus, base + std::to_string(byte) + "_s" +
-                              std::to_string(share) + "_");
+        name_bus(nl, bus, common::make_name(base, byte, "_s", share, "_"));
         bank[share].push_back(bus);
       }
     return bank;
@@ -167,7 +167,8 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
     const Bus rp = make_input_bus(nl, 8, InputRole::kRandom, "Rp");
     std::vector<SignalId> fresh;
     for (std::size_t k = 0; k < opts.kron_plan.fresh_count(); ++k)
-      fresh.push_back(nl.add_input(InputRole::kRandom, "f" + std::to_string(k)));
+      fresh.push_back(
+          nl.add_input(InputRole::kRandom, common::make_name("f", k)));
     nl.pop_scope();
     aes.nonzero_random_buses.push_back(r);
     return build_masked_sbox_core(nl, {s0, s1}, r, rp, fresh, sbox_opts, name);
@@ -175,7 +176,7 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
 
   std::vector<std::vector<Bus>> sb(2, std::vector<Bus>(16));
   for (std::uint32_t byte = 0; byte < 16; ++byte) {
-    const MaskedSbox sbox = make_sbox("sb" + std::to_string(byte),
+    const MaskedSbox sbox = make_sbox(common::make_name("sb", byte),
                                       state[0][byte], state[1][byte]);
     sb[0][byte] = sbox.out_shares[0];
     sb[1][byte] = sbox.out_shares[1];
@@ -203,7 +204,7 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
   std::vector<std::vector<Bus>> subword(2, std::vector<Bus>(4));
   static constexpr std::uint32_t kRotWord[4] = {13, 14, 15, 12};
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const MaskedSbox sbox = make_sbox("ks" + std::to_string(i),
+    const MaskedSbox sbox = make_sbox(common::make_name("ks", i),
                                       keyreg[0][kRotWord[i]],
                                       keyreg[1][kRotWord[i]]);
     subword[0][i] = sbox.out_shares[0];
@@ -250,8 +251,7 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
   for (std::uint32_t share = 0; share < 2; ++share)
     for (std::uint32_t byte = 0; byte < 16; ++byte)
       for (std::size_t bit = 0; bit < 8; ++bit)
-        nl.add_output("ct" + std::to_string(byte) + "_s" +
-                          std::to_string(share) + "_" + std::to_string(bit),
+        nl.add_output(common::make_name("ct", byte, "_s", share, "_", bit),
                       state[share][byte][bit]);
 
   nl.pop_scope();

@@ -1,6 +1,7 @@
 #include "src/gadgets/masked_sbox.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/conversions.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -114,15 +115,15 @@ MaskedSbox build_masked_sbox(Netlist& nl, const MaskedSboxOptions& opts,
   if (opts.include_kronecker) {
     for (std::size_t k = 0; k < opts.kron_plan.fresh_count(); ++k)
       kron_fresh.push_back(
-          nl.add_input(InputRole::kRandom, "f" + std::to_string(k)));
+          nl.add_input(InputRole::kRandom, common::make_name("f", k)));
   }
   nl.pop_scope();
 
   MaskedSbox sbox =
       build_masked_sbox_core(nl, in_shares, r, rp, kron_fresh, opts, scope);
   for (std::size_t i = 0; i < 8; ++i) {
-    nl.add_output("s0_" + std::to_string(i), sbox.out_shares[0][i]);
-    nl.add_output("s1_" + std::to_string(i), sbox.out_shares[1][i]);
+    nl.add_output(common::make_name("s0_", i), sbox.out_shares[0][i]);
+    nl.add_output(common::make_name("s1_", i), sbox.out_shares[1][i]);
   }
   return sbox;
 }

@@ -1,6 +1,7 @@
 #include "src/gadgets/masked_sbox2.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/conversions2.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -19,7 +20,7 @@ MaskedSbox2 build_masked_sbox2(Netlist& nl, const MaskedSbox2Options& options,
 
   for (std::uint32_t i = 0; i < 3; ++i)
     sbox.in_shares.push_back(make_input_bus(
-        nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", secret, i));
+        nl, 8, InputRole::kShare, common::make_name("b", i, "_"), secret, i));
   sbox.rand_r1 = make_input_bus(nl, 8, InputRole::kRandom, "R1");
   sbox.rand_r2 = make_input_bus(nl, 8, InputRole::kRandom, "R2");
   sbox.rand_s1 = make_input_bus(nl, 8, InputRole::kRandom, "S1");
@@ -39,7 +40,7 @@ MaskedSbox2 build_masked_sbox2(Netlist& nl, const MaskedSbox2Options& options,
     const Bus d = delay_bus(nl, sbox.in_shares[i], kron.latency);
     x_prime[i] = d;
     x_prime[i][0] = nl.xor_(d[0], kron.z[i]);
-    nl.name_signal(x_prime[i][0], "xp" + std::to_string(i) + "_0");
+    nl.name_signal(x_prime[i][0], common::make_name("xp", i, "_0"));
   }
 
   // B2M: two cycles; P = X' R1 R2 with X' != 0 guaranteed by the Kronecker.
@@ -62,7 +63,7 @@ MaskedSbox2 build_masked_sbox2(Netlist& nl, const MaskedSbox2Options& options,
     SignalId z = kron.z[i];
     for (int d = 0; d < 5; ++d) z = nl.reg(z);
     z_delayed[i] = z;
-    nl.name_signal(z, "zd" + std::to_string(i));
+    nl.name_signal(z, common::make_name("zd", i));
   }
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -70,10 +71,10 @@ MaskedSbox2 build_masked_sbox2(Netlist& nl, const MaskedSbox2Options& options,
     y[0] = nl.xor_(y[0], z_delayed[i]);
     if (options.include_affine)
       y = build_sbox_affine(nl, y, /*with_constant=*/i == 0);
-    name_bus(nl, y, "s" + std::to_string(i) + "_");
+    name_bus(nl, y, common::make_name("s", i, "_"));
     sbox.out_shares.push_back(y);
     for (std::size_t b = 0; b < 8; ++b)
-      nl.add_output("s" + std::to_string(i) + "_" + std::to_string(b), y[b]);
+      nl.add_output(common::make_name("s", i, "_", b), y[b]);
   }
 
   sbox.latency = kron.latency + 2 + 3;

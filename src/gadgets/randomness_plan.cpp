@@ -5,6 +5,7 @@
 
 #include "src/common/bitops.hpp"
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/gadgets/bus.hpp"
 
 namespace sca::gadgets {
@@ -59,7 +60,7 @@ std::vector<SignalId> RandomnessPlan::materialize(
       if ((slot.fresh_mask >> k) & 1u) terms.push_back(fresh[k]);
     SignalId sig = terms.size() == 1 ? terms[0] : xor_tree(nl, std::move(terms));
     if (slot.registered) sig = nl.reg(sig);
-    nl.name_signal(sig, "r" + std::to_string(s + 1));
+    nl.name_signal(sig, common::make_name("r", s + 1));
     out.push_back(sig);
   }
   return out;

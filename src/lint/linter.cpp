@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/slice.hpp"
@@ -51,7 +52,7 @@ namespace {
 /// "@t", "@t-1", ... suffix for a value `cycles_back` before the probe.
 std::string cycle_suffix(std::size_t cycles_back) {
   if (cycles_back == 0) return "@t";
-  return "@t-" + std::to_string(cycles_back);
+  return common::make_name("@t-", cycles_back);
 }
 
 /// Classifies a flagged glitch-only verdict. Completed sharings drawn at
@@ -363,9 +364,9 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
       finding.shared_fresh.push_back(work->signal_name(sf.input) +
                                      cycle_suffix(probe_cycle - sf.cycle));
     for (const CompletedSharing& c : witness->completed)
-      finding.completed.push_back(work->secret_group_name(c.secret) + ".b" +
-                                  std::to_string(c.bit) +
-                                  cycle_suffix(probe_cycle - c.cycle));
+      finding.completed.push_back(common::make_name(
+          work->secret_group_name(c.secret), ".b", c.bit,
+          cycle_suffix(probe_cycle - c.cycle)));
 
     std::ostringstream msg;
     msg << lint_rule_name(rule) << ": probe " << finding.probe_name;

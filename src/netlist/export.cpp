@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::netlist {
 
@@ -16,9 +17,9 @@ std::string ident(const Netlist& nl, SignalId id) {
     name = *n;
     for (char& c : name)
       if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) c = '_';
-    name += "_s" + std::to_string(id);
+    name += common::make_name("_s", id);
   } else {
-    name = "n" + std::to_string(id);
+    name = common::make_name("n", id);
   }
   return name;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::netlist {
 
@@ -124,7 +125,7 @@ void Netlist::set_state_group_name(std::uint32_t group, std::string name) {
 std::string Netlist::state_group_name(std::uint32_t group) const {
   if (auto it = state_group_names_.find(group); it != state_group_names_.end())
     return it->second;
-  return "g" + std::to_string(group);
+  return common::make_name("g", group);
 }
 
 void Netlist::set_secret_group_name(std::uint32_t secret, std::string name) {
@@ -135,7 +136,7 @@ std::string Netlist::secret_group_name(std::uint32_t secret) const {
   if (auto it = secret_group_names_.find(secret);
       it != secret_group_names_.end())
     return it->second;
-  return "s" + std::to_string(secret);
+  return common::make_name("s", secret);
 }
 
 namespace {
@@ -232,7 +233,7 @@ void Netlist::name_signal(SignalId signal, std::string_view name) {
 
 std::string Netlist::signal_name(SignalId signal) const {
   if (auto it = names_.find(signal); it != names_.end()) return it->second;
-  return std::string(gate_kind_name(kind(signal))) + "#" + std::to_string(signal);
+  return common::make_name(gate_kind_name(kind(signal)), "#", signal);
 }
 
 std::optional<std::string> Netlist::explicit_name(SignalId signal) const {

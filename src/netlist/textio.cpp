@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 
 namespace sca::netlist {
 
@@ -13,7 +14,7 @@ using common::require;
 std::string write_snl(const Netlist& nl) {
   std::ostringstream os;
   os << "# SNL netlist, " << nl.size() << " signals\n";
-  auto sid = [](SignalId id) { return "n" + std::to_string(id); };
+  auto sid = [](SignalId id) { return common::make_name("n", id); };
 
   for (SignalId id = 0; id < nl.size(); ++id) {
     const Gate& g = nl.gate(id);

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/service/cache.hpp"
 #include "src/service/job.hpp"
 #include "src/service/json.hpp"
@@ -202,7 +203,7 @@ class Daemon {
     }
     require(active_jobs() < options_.max_queue, "daemon: job queue full");
     auto job = std::make_unique<JobRecord>();
-    job->id = "j" + std::to_string(next_job_++);
+    job->id = common::make_name("j", next_job_++);
     job->spec = std::move(spec);
     job->key = key;
     if (job->spec.kind != JobKind::kLint)

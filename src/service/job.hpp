@@ -32,7 +32,7 @@ namespace sca::service {
 /// Bumped whenever a change could alter any verdict bit (statistics
 /// pipeline, PRG addressing, probe enumeration, SNL semantics). Part of
 /// every cache key: entries written by other engine versions never hit.
-inline constexpr const char* kEngineVersion = "evald-1";
+inline constexpr const char* kEngineVersion = "evald-2";
 
 enum class JobKind { kCampaign, kLint, kSearch };
 

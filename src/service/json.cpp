@@ -153,7 +153,14 @@ std::string Json::dump() const {
       std::snprintf(buf, sizeof(buf), "%.17g", double_);
       return buf;
     }
-    case Kind::kString: return "\"" + json_escape(string_) + "\"";
+    case Kind::kString: {
+      // Appended, not `"\"" + json_escape(...)`: inserting at the front of
+      // a temporary trips gcc 12's -O3 -Wrestrict false positive.
+      std::string out = "\"";
+      out += json_escape(string_);
+      out += '"';
+      return out;
+    }
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -166,7 +173,9 @@ std::string Json::dump() const {
       std::string out = "{";
       for (std::size_t i = 0; i < fields_.size(); ++i) {
         if (i) out += ",";
-        out += "\"" + json_escape(fields_[i].first) + "\":";
+        out += '"';
+        out += json_escape(fields_[i].first);
+        out += "\":";
         out += fields_[i].second.dump();
       }
       return out + "}";

@@ -1,11 +1,6 @@
 #include "src/stats/ttest.hpp"
 
-#include <bit>
 #include <cmath>
-#include <istream>
-#include <ostream>
-
-#include "src/common/serialize.hpp"
 
 namespace sca::stats {
 
@@ -37,42 +32,6 @@ void MomentAccumulator::add_weighted_histogram(const std::uint64_t* counts,
                                                std::size_t n) {
   for (std::size_t v = 0; v < n; ++v)
     if (counts[v]) add_weighted(static_cast<double>(v), counts[v]);
-}
-
-void MomentAccumulator::merge(const MomentAccumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const double total = static_cast<double>(n_ + other.n_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / total;
-  mean_ += delta * static_cast<double>(other.n_) / total;
-  n_ += other.n_;
-}
-
-void MomentAccumulator::serialize(std::ostream& os) const {
-  common::write_u64(os, n_);
-  common::write_f64(os, mean_);
-  common::write_f64(os, m2_);
-}
-
-MomentAccumulator MomentAccumulator::deserialize(std::istream& is) {
-  MomentAccumulator acc;
-  acc.n_ = common::read_u64(is);
-  acc.mean_ = common::read_f64(is);
-  acc.m2_ = common::read_f64(is);
-  return acc;
-}
-
-bool MomentAccumulator::operator==(const MomentAccumulator& other) const {
-  return n_ == other.n_ &&
-         std::bit_cast<std::uint64_t>(mean_) ==
-             std::bit_cast<std::uint64_t>(other.mean_) &&
-         std::bit_cast<std::uint64_t>(m2_) ==
-             std::bit_cast<std::uint64_t>(other.m2_);
 }
 
 double MomentAccumulator::variance() const {

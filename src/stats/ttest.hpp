@@ -8,8 +8,8 @@
 // on centered squared samples.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 
 namespace sca::stats {
 
@@ -18,37 +18,26 @@ class MomentAccumulator {
  public:
   void add(double sample);
 
-  /// Adds `count` identical samples in one step — the histogram path of the
-  /// bit-sliced campaign (per-chunk Hamming-weight counts instead of 64
-  /// scalar adds per sample). Exactly equivalent to merging an accumulator
-  /// holding `count` copies of `sample` (whose mean is `sample` and whose
-  /// M2 is 0, both exactly), so it is bit-identical to add() called `count`
-  /// times in a row on a fresh accumulator, and deterministic for any
-  /// (histogram-ordered) call sequence.
+  /// Adds `count` identical samples in one step — one step per histogram
+  /// bin instead of one add() per sample. Exactly equivalent to merging an
+  /// accumulator holding `count` copies of `sample` (whose mean is `sample`
+  /// and whose M2 is 0, both exactly), so it is bit-identical to add()
+  /// called `count` times in a row on a fresh accumulator, and
+  /// deterministic for any (histogram-ordered) call sequence.
   void add_weighted(double sample, std::uint64_t count);
 
   /// Folds a whole integer histogram — counts[i] samples of value i — in
   /// ascending-value order: exactly counts-nonzero add_weighted calls, so
   /// the FP operation sequence (and hence the t statistic) is a pure
-  /// function of the histogram contents. The campaign's chunk-into-master
-  /// reduction for Hamming-weight observations.
+  /// function of the histogram contents. The campaign keeps its t-test
+  /// state as integer Hamming-weight histograms and folds them through
+  /// this only when a t value is needed.
   void add_weighted_histogram(const std::uint64_t* counts, std::size_t n);
-
-  void merge(const MomentAccumulator& other);
 
   std::uint64_t count() const { return n_; }
   double mean() const { return mean_; }
   /// Unbiased sample variance; 0 for fewer than two samples.
   double variance() const;
-
-  /// Binary snapshot of the raw Welford state (n, mean, M2), doubles as
-  /// IEEE-754 bit patterns. deserialize() restores a bit-exact copy — the
-  /// t-test path's requirement for resume == uninterrupted.
-  void serialize(std::ostream& os) const;
-  static MomentAccumulator deserialize(std::istream& is);
-
-  /// Bit-exact state equality (n, mean bits, M2 bits).
-  bool operator==(const MomentAccumulator& other) const;
 
  private:
   std::uint64_t n_ = 0;

@@ -13,6 +13,7 @@
 #include <bit>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/common/simd.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/netlist/cone.hpp"
@@ -601,8 +602,8 @@ ProbeDistribution ProbeDistributionEngine::distribution(SignalId probe) const {
   const Analysis analysis = engine.analyze(observation);
   for (const std::size_t v : analysis.secret_var_indices) {
     const auto& var = analysis.vars[v];
-    out.secret_bits.push_back(engine.netlist().secret_group_name(var.secret) +
-                              ".b" + std::to_string(var.bit));
+    out.secret_bits.push_back(common::make_name(
+        engine.netlist().secret_group_name(var.secret), ".b", var.bit));
   }
   for (const SignalId sig : analysis.observation)
     out.observation.push_back(engine.unrolled_netlist().signal_name(sig));

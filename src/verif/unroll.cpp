@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/netlist/cone.hpp"
 
 namespace sca::verif {
@@ -117,7 +118,7 @@ Unrolled unroll(const Netlist& nl, std::size_t cycles,
           mapped = out.nl.add_input(
               info->role,
               held[id] ? nl.signal_name(id)
-                       : nl.signal_name(id) + "@c" + std::to_string(c),
+                       : common::make_name(nl.signal_name(id), "@c", c),
               info->share);
           out.input_cycle.push_back(c);
           out.input_original.push_back(id);

@@ -38,13 +38,11 @@ using netlist::Netlist;
 // --- planner unit tests ------------------------------------------------------
 
 ap::PlanSetInput set_input(const std::vector<std::size_t>& points,
-                           bool transitions = false, bool compacted = false,
-                           bool direct_table = true) {
+                           bool transitions = false, bool compacted = false) {
   ap::PlanSetInput in;
   in.points = &points;
   in.observation_bits = points.size() * (transitions ? 2 : 1);
   in.compacted = compacted;
-  in.direct_table = direct_table;
   return in;
 }
 
@@ -132,8 +130,7 @@ TEST(AccPlan, PackedGatherRecipesReproduceKeys) {
   for (std::size_t p = 0; p < 40; ++p) a_pts.push_back(p);
   for (std::size_t p = 30; p < 70; ++p) b_pts.push_back(p);
   const std::vector<ap::PlanSetInput> sets = {
-      set_input(a_pts, false, false, false),
-      set_input(b_pts, false, false, false)};
+      set_input(a_pts), set_input(b_pts)};
   const ap::AccumulationPlan plan =
       ap::compile_accumulation_plan(sets, ap::PlanOptions{});
   ASSERT_EQ(plan.shards.size(), 1u);

@@ -19,6 +19,7 @@
 #include "src/common/check.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/checkpoint.hpp"
+#include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/gadgets/bus.hpp"
 #include "src/gadgets/kronecker.hpp"
@@ -247,8 +248,8 @@ TEST(Checkpoint, ResumeUnderTableBatching) {
 }
 
 TEST(Checkpoint, ResumeWelchTTest) {
-  // The t-test path checkpoints raw Welford moments; bit-exactness of the
-  // restored FP state is what makes resumed == uninterrupted here.
+  // The t-test path checkpoints integer Hamming-weight histograms, so the
+  // t statistic after resume is the same fold of the same counts.
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_pair_reuse());
   auto make = [&](unsigned threads) {
     CampaignOptions opts = staged_options(12000, 3, threads);
@@ -269,6 +270,20 @@ TEST(Checkpoint, ResumeWelchTTest) {
     expect_identical(whole, resumed);
     std::remove(opts.checkpoint_path.c_str());
   }
+
+  // Written at 1 thread, resumed at 8: the verdict is byte-identical.
+  CampaignOptions opts = make(1);
+  opts.checkpoint_path = ckpt_path("ttest_cross");
+  opts.stop_after_stage = 2;
+  (void)run_fixed_vs_random(nl, opts);
+  CampaignOptions resume = make(8);
+  resume.checkpoint_path = opts.checkpoint_path;
+  resume.resume = true;
+  const CampaignResult resumed = run_fixed_vs_random(nl, resume);
+  EXPECT_TRUE(resumed.resumed);
+  const CampaignResult whole = run_fixed_vs_random(nl, make(1));
+  EXPECT_EQ(verdict_json(resumed), verdict_json(whole));
+  std::remove(opts.checkpoint_path.c_str());
 }
 
 TEST(Checkpoint, CompletedSnapshotShortCircuitsRerun) {
@@ -334,6 +349,21 @@ TEST(Checkpoint, CorruptedSnapshotsAreRejected) {
   // Not a snapshot at all.
   write_file("definitely not a checkpoint");
   EXPECT_THROW(run_fixed_vs_random(nl, resume), common::Error);
+
+  // A version-2 snapshot (the pre-count-table format) is refused by its
+  // version word, which follows the 8-byte magic (little-endian u64).
+  std::string old_version = good;
+  old_version[8] = 2;
+  for (std::size_t i = 9; i < 16; ++i) old_version[i] = 0;
+  write_file(old_version);
+  try {
+    run_fixed_vs_random(nl, resume);
+    ADD_FAILURE() << "version-2 snapshot was accepted";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version"),
+              std::string::npos)
+        << e.what();
+  }
 
   // Valid snapshot, wrong campaign (different seed -> fingerprint).
   write_file(good);

@@ -307,22 +307,6 @@ TEST(Bitops, Transpose8x8MatchesNaive) {
   }
 }
 
-TEST(Bitops, BytesToBitPlanesMatchesPerBitSpread) {
-  Xoshiro256 rng(19);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::uint8_t bytes[64];
-    for (auto& b : bytes) b = rng.byte();
-    std::uint64_t planes[8];
-    bytes_to_bit_planes(bytes, planes);
-    for (unsigned b = 0; b < 8; ++b) {
-      std::uint64_t expected = 0;
-      for (unsigned lane = 0; lane < 64; ++lane)
-        expected |= static_cast<std::uint64_t>((bytes[lane] >> b) & 1) << lane;
-      ASSERT_EQ(planes[b], expected) << "plane " << b;
-    }
-  }
-}
-
 TEST(VerticalCounter, MatchesNaivePerLanePopcount) {
   Xoshiro256 rng(23);
   for (unsigned words : {0u, 1u, 3u, 17u, 64u, 200u}) {

@@ -200,6 +200,15 @@ struct PlanVerdict {
   bool expect_pass;
 };
 
+// Prints the parameter by value. gtest's default byte dump would show the
+// `plan` pointer (and padding), so ctest test names would change on every
+// run under address-space randomization.
+void PrintTo(const PlanVerdict& v, std::ostream* os) {
+  *os << "{" << v.plan << ", "
+      << (v.model == ProbeModel::kGlitch ? "glitch" : "transition") << ", "
+      << (v.expect_pass ? "pass" : "fail") << "}";
+}
+
 class CampaignPaperClaims : public ::testing::TestWithParam<PlanVerdict> {
  protected:
   static RandomnessPlan plan_by_name(const std::string& name) {

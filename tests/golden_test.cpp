@@ -19,15 +19,22 @@
 //       leak; minimum fresh bits = 6
 //
 // Plus the null-calibration guard: a random-vs-random campaign must stay
-// under the 7.0 threshold on every probe set.
+// under the 7.0 threshold on every probe set, and per-set G-test pins (df,
+// bins, -log10 p) for E2 and a small order-2 glitch+transition campaign.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/search.hpp"
+#include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_sbox2.hpp"
 #include "src/lint/linter.hpp"
 #include "src/verif/exact.hpp"
@@ -42,6 +49,43 @@ using gadgets::RandomnessPlan;
 // 20 k sims vs 723 at 200 k), while null maxima are budget-independent, so
 // 20 k separates PASS from FAIL by an order of magnitude.
 constexpr std::size_t kSims = 20'000;
+
+// Per-set G-test pins: the df, bins and -log10 p of every probe set, for
+// E2 at its test budget and for an order-2 glitch+transition campaign with
+// a compacted (Hamming-weight pair) set. -log10 p is compared at a 1e-12
+// relative tolerance (absolute below 1), not as a byte digest, so FMA
+// contraction on other instruction sets cannot break the pins.
+struct GTestPin {
+  const char* name;
+  std::size_t df;
+  std::size_t bins;
+  double minus_log10_p;
+};
+
+constexpr GTestPin kE2GTestPins[] = {
+#include "tests/golden_gtest_pins_e2.inc"
+};
+
+constexpr GTestPin kKronOrder2GTestPins[] = {
+#include "tests/golden_gtest_pins_kron_o2.inc"
+};
+
+void expect_pinned(const CampaignResult& result,
+                   std::span<const GTestPin> pins) {
+  ASSERT_EQ(result.results.size(), pins.size());
+  std::map<std::string, const ProbeSetResult*> by_name;
+  for (const ProbeSetResult& r : result.results) by_name[r.name] = &r;
+  for (const GTestPin& pin : pins) {
+    const auto it = by_name.find(pin.name);
+    ASSERT_NE(it, by_name.end()) << pin.name;
+    const stats::GTestResult& g = it->second->g;
+    EXPECT_EQ(g.df, pin.df) << pin.name;
+    EXPECT_EQ(g.bins, pin.bins) << pin.name;
+    EXPECT_NEAR(g.minus_log10_p, pin.minus_log10_p,
+                1e-12 * std::max(1.0, std::abs(pin.minus_log10_p)))
+        << pin.name;
+  }
+}
 
 TEST(GoldenVerdicts, E1SboxWithoutKroneckerPasses) {
   MaskedSboxOptions options;
@@ -69,6 +113,7 @@ TEST(GoldenVerdicts, E2KroneckerEq6FailsLocalizedInG7) {
   }
   EXPECT_NE(result.results.front().name.find("sbox.kron.G7."),
             std::string::npos);
+  expect_pinned(result, kE2GTestPins);
 }
 
 TEST(GoldenVerdicts, E3FreshMasksPassSampledAndExact) {
@@ -288,6 +333,26 @@ TEST(GoldenVerdicts, NullCalibrationProducesNoVerdicts) {
   // statistics are alive (a max of exactly 0 would mean empty tables).
   EXPECT_GT(result.total_sets, 500u);
   EXPECT_GT(result.max_minus_log10_p, 0.1);
+}
+
+TEST(GoldenGTestPins, Order2GlitchTransitionWithCompactedSets) {
+  netlist::Netlist nl;
+  std::vector<gadgets::Bus> shares;
+  for (std::uint32_t i = 0; i < 2; ++i)
+    shares.push_back(gadgets::make_input_bus(
+        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
+        i));
+  gadgets::build_kronecker(nl, shares, RandomnessPlan::kron1_demeyer_eq6());
+  CampaignOptions opts;
+  opts.model = ProbeModel::kGlitchTransition;
+  opts.order = 2;
+  opts.simulations = 4000;
+  opts.fixed_values[0] = 0x00;
+  opts.probe_scope_filter = "kron.G7";
+  const CampaignResult result = run_fixed_vs_random(nl, opts);
+  EXPECT_TRUE(std::any_of(result.results.begin(), result.results.end(),
+                          [](const ProbeSetResult& r) { return r.compacted; }));
+  expect_pinned(result, kKronOrder2GTestPins);
 }
 
 }  // namespace

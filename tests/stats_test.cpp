@@ -11,6 +11,7 @@
 #include "src/common/bitops.hpp"
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/stats/gtest_stat.hpp"
 #include "src/stats/pvalue.hpp"
 #include "src/stats/ttest.hpp"
@@ -84,7 +85,7 @@ TEST(GTestStat, NullSamplesRarelyCrossThreshold) {
   common::Xoshiro256 rng(99);
   int false_positives = 0;
   for (int rep = 0; rep < 200; ++rep) {
-    ContingencyTable table;
+    FlatCountTable table(3);
     for (int i = 0; i < 4000; ++i) {
       table.add(rng.next() % 8, 0);
       table.add(rng.next() % 8, 1);
@@ -98,7 +99,7 @@ TEST(GTestStat, DetectsSmallBias) {
   // Fixed group has a 5% excess mass on one bin; with 100k samples the
   // G-test must see it well past the threshold.
   common::Xoshiro256 rng(123);
-  ContingencyTable table;
+  FlatCountTable table(2);
   for (int i = 0; i < 100000; ++i) {
     const std::uint64_t f = (rng.next() % 100 < 30) ? 0 : 1 + rng.next() % 3;
     const std::uint64_t r = (rng.next() % 100 < 25) ? 0 : 1 + rng.next() % 3;
@@ -109,7 +110,7 @@ TEST(GTestStat, DetectsSmallBias) {
 }
 
 TEST(GTestStat, EmptyGroupGivesZero) {
-  ContingencyTable table;
+  FlatCountTable table(2);
   table.add(1, 0, 100);
   table.add(2, 0, 50);
   const GTestResult r = table.g_test();
@@ -118,14 +119,14 @@ TEST(GTestStat, EmptyGroupGivesZero) {
 }
 
 TEST(GTestStat, SingleBinGivesZero) {
-  ContingencyTable table;
+  FlatCountTable table(3);
   table.add(7, 0, 100);
   table.add(7, 1, 120);
   EXPECT_EQ(table.g_test().minus_log10_p, 0.0);
 }
 
 TEST(GTestStat, MergeAccumulates) {
-  ContingencyTable a, b;
+  FlatCountTable a(2), b(2);
   a.add(1, 0, 10);
   a.add(2, 1, 5);
   b.add(1, 0, 7);
@@ -139,7 +140,7 @@ TEST(GTestStat, MergeAccumulates) {
 TEST(GTestStat, LowExpectationBinsArePooled) {
   // 10 bins with tiny counts should pool into a single residual, leaving
   // df = 1 (two effective columns) rather than 10.
-  ContingencyTable table;
+  FlatCountTable table(4);
   table.add(0, 0, 10000);
   table.add(0, 1, 10000);
   for (std::uint64_t k = 1; k <= 10; ++k) {
@@ -152,7 +153,7 @@ TEST(GTestStat, LowExpectationBinsArePooled) {
 }
 
 TEST(GTestStat, DfCountsColumnsMinusOne) {
-  ContingencyTable table;
+  FlatCountTable table(3);
   for (std::uint64_t k = 0; k < 5; ++k) {
     table.add(k, 0, 1000);
     table.add(k, 1, 1000 + 10 * k);
@@ -191,20 +192,6 @@ TEST(TTest, AccumulatorMatchesClosedForm) {
   EXPECT_NEAR(acc.variance(), 5.0 / 3.0, 1e-12);
 }
 
-TEST(TTest, MergeEqualsSequential) {
-  common::Xoshiro256 rng(21);
-  MomentAccumulator all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = static_cast<double>(rng.byte());
-    all.add(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-}
-
 TEST(TTest, DetectsMeanShift) {
   common::Xoshiro256 rng(22);
   MomentAccumulator fixed, random;
@@ -240,34 +227,46 @@ TEST(TTest, DegenerateInputsGiveZero) {
 
 TEST(TTest, AddWeightedIsBitIdenticalToRepeatedAdds) {
   common::Xoshiro256 rng(31);
-  // Histogram folds (the bit-sliced campaign path) against the same counts
-  // applied as sequential scalar adds — exact FP equality required.
+  // On a fresh accumulator, a run of equal samples is exact either way:
+  // mean == sample and M2 == 0.
+  for (int step = 0; step < 200; ++step) {
+    const double sample = static_cast<double>(rng.below(20));
+    const std::uint64_t count = 1 + rng.below(7);
+    MomentAccumulator weighted, sequential;
+    weighted.add_weighted(sample, count);
+    for (std::uint64_t i = 0; i < count; ++i) sequential.add(sample);
+    ASSERT_EQ(weighted.count(), sequential.count());
+    ASSERT_EQ(weighted.mean(), sequential.mean());
+    ASSERT_EQ(weighted.variance(), sequential.variance());
+  }
+  // Across runs, the weighted fold tracks sequential adds up to rounding.
   MomentAccumulator weighted, sequential;
   for (int step = 0; step < 200; ++step) {
     const double sample = static_cast<double>(rng.below(20));
     const std::uint64_t count = 1 + rng.below(7);
     weighted.add_weighted(sample, count);
-    MomentAccumulator run;
-    for (std::uint64_t i = 0; i < count; ++i) run.add(sample);
-    sequential.merge(run);
-    ASSERT_EQ(weighted.count(), sequential.count());
-    ASSERT_EQ(weighted.mean(), sequential.mean());
-    ASSERT_EQ(weighted.variance(), sequential.variance());
+    for (std::uint64_t i = 0; i < count; ++i) sequential.add(sample);
   }
+  EXPECT_EQ(weighted.count(), sequential.count());
+  EXPECT_NEAR(weighted.mean(), sequential.mean(), 1e-12 * sequential.mean());
+  EXPECT_NEAR(weighted.variance(), sequential.variance(),
+              1e-9 * sequential.variance());
   MomentAccumulator noop;
   noop.add_weighted(5.0, 0);
   EXPECT_EQ(noop.count(), 0u);
 }
 
 TEST(TTest, AddWeightedHistogramEqualsAscendingWeightedAdds) {
-  // The batched fold the campaign's cell merge uses must replay exactly the
+  // The histogram fold the campaign's t-test uses must replay exactly the
   // ascending-value add_weighted sequence (bit-identical Welford state).
   const std::vector<std::uint64_t> hist = {3, 0, 17, 1, 0, 0, 9};
   MomentAccumulator batched, reference;
   batched.add_weighted_histogram(hist.data(), hist.size());
   for (std::size_t v = 0; v < hist.size(); ++v)
     if (hist[v]) reference.add_weighted(static_cast<double>(v), hist[v]);
-  EXPECT_TRUE(batched == reference);
+  EXPECT_EQ(batched.count(), reference.count());
+  EXPECT_EQ(batched.mean(), reference.mean());
+  EXPECT_EQ(batched.variance(), reference.variance());
 
   MomentAccumulator empty;
   empty.add_weighted_histogram(nullptr, 0);
@@ -276,69 +275,14 @@ TEST(TTest, AddWeightedHistogramEqualsAscendingWeightedAdds) {
 
 // --- flat count tables --------------------------------------------------------
 
-TEST(FlatCountTable, HashedModeMatchesContingencyTable) {
-  common::Xoshiro256 rng(37);
-  FlatCountTable flat;
-  ContingencyTable reference;
-  for (int i = 0; i < 20000; ++i) {
-    // Stress probing/growth: a mix of dense small keys and sparse wide ones.
-    const std::uint64_t key =
-        (i % 3 == 0) ? rng.next() : rng.next() & 0x3FF;
-    const int group = static_cast<int>(rng.bit());
-    flat.add(key, group);
-    reference.add(key, group);
-  }
-  EXPECT_EQ(flat.bin_count(), reference.bin_count());
-  EXPECT_EQ(flat.group_total(0), reference.group_total(0));
-  EXPECT_EQ(flat.group_total(1), reference.group_total(1));
-  for (const auto& [key, cnt] : reference.counts()) {
-    const auto got = flat.counts_for(key);
-    ASSERT_EQ(got[0], cnt[0]) << "key " << key;
-    ASSERT_EQ(got[1], cnt[1]) << "key " << key;
-  }
-  const GTestResult a = flat.g_test();
-  const GTestResult b = reference.g_test();
-  EXPECT_EQ(a.bins, b.bins);
-  EXPECT_EQ(a.df, b.df);
-  // Column order differs (sorted vs unordered_map), so allow FP reordering
-  // noise in the G sum.
-  EXPECT_NEAR(a.g, b.g, 1e-6 * std::max(1.0, b.g));
-}
-
-TEST(FlatCountTable, DirectModeMatchesHashedMode) {
-  common::Xoshiro256 rng(41);
-  FlatCountTable direct, hashed;
-  direct.init_direct(10);
-  ASSERT_TRUE(direct.direct_mode());
-  ASSERT_FALSE(hashed.direct_mode());
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = rng.below(1u << 10);
-    const int group = static_cast<int>(rng.bit());
-    const std::uint64_t count = 1 + rng.below(3);
-    direct.add(key, group, count);
-    hashed.add(key, group, count);
-  }
-  EXPECT_EQ(direct.bin_count(), hashed.bin_count());
-  EXPECT_EQ(direct.sorted_keys(), hashed.sorted_keys());
-  for (std::uint64_t key : direct.sorted_keys())
-    ASSERT_EQ(direct.counts_for(key), hashed.counts_for(key));
-  const GTestResult a = direct.g_test();
-  const GTestResult b = hashed.g_test();
-  EXPECT_EQ(a.bins, b.bins);
-  EXPECT_EQ(a.g, b.g);  // identical column order -> identical FP sequence
-}
-
 TEST(FlatCountTable, AddMarginalizedEqualsDirectAccumulation) {
   // The subset-hosting contract: a hosted set's table built as an integer
-  // marginal of its host's direct table is bit-identical to accumulating
-  // the hosted set sample by sample. Host keys carry 6 bits; the hosted
-  // set observes bits {0, 2, 5} of them (host_mask selects those).
+  // marginal of its host's table is identical to accumulating the hosted
+  // set sample by sample. Host keys carry 6 bits; the hosted set observes
+  // bits {0, 2, 5} of them (host_mask selects those).
   common::Xoshiro256 rng(43);
   const std::uint64_t mask = 0b100101;
-  FlatCountTable host, hosted_direct, marginal;
-  host.init_direct(6);
-  hosted_direct.init_direct(3);
-  marginal.init_direct(3);
+  FlatCountTable host(6), hosted_direct(3), marginal(3);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t key = rng.below(1u << 6);
     const int group = static_cast<int>(rng.bit());
@@ -346,9 +290,7 @@ TEST(FlatCountTable, AddMarginalizedEqualsDirectAccumulation) {
     hosted_direct.add(common::extract_bits64(key, mask), group);
   }
   marginal.add_marginalized(host, mask);
-  EXPECT_EQ(marginal.sorted_keys(), hosted_direct.sorted_keys());
-  for (std::uint64_t key : marginal.sorted_keys())
-    ASSERT_EQ(marginal.counts_for(key), hosted_direct.counts_for(key));
+  EXPECT_EQ(marginal, hosted_direct);
   const GTestResult a = marginal.g_test();
   const GTestResult b = hosted_direct.g_test();
   EXPECT_EQ(a.g, b.g);
@@ -357,192 +299,76 @@ TEST(FlatCountTable, AddMarginalizedEqualsDirectAccumulation) {
   // Re-materialization (clear + marginalize again, as the campaign does
   // after every stage) reproduces the same table.
   marginal.clear();
-  EXPECT_TRUE(marginal.direct_mode());
+  EXPECT_EQ(marginal.key_bits(), 3u);
   marginal.add_marginalized(host, mask);
-  for (std::uint64_t key : hosted_direct.sorted_keys())
-    ASSERT_EQ(marginal.counts_for(key), hosted_direct.counts_for(key));
-}
-
-TEST(FlatCountTable, OverflowKeyRoutesToOverflowBin) {
-  FlatCountTable flat;
-  flat.add(FlatCountTable::kOverflowKey, 0, 5);
-  flat.add(FlatCountTable::kOverflowKey, 1, 7);
-  flat.add(3, 0);
-  EXPECT_EQ(flat.bin_count(), 2u);  // one real key + the overflow bin
-  const auto overflow = flat.counts_for(FlatCountTable::kOverflowKey);
-  EXPECT_EQ(overflow[0], 5u);
-  EXPECT_EQ(overflow[1], 7u);
-  const auto keys = flat.sorted_keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys.back(), FlatCountTable::kOverflowKey);  // always sorts last
-}
-
-TEST(FlatCountTable, BinCapPoolingMatchesContingencyTable) {
-  common::Xoshiro256 rng(43);
-  FlatCountTable flat;
-  ContingencyTable reference;
-  flat.set_bin_limit(16);
-  reference.set_bin_limit(16);
-  // Same insertion sequence -> identical kept bins and pooled overflow.
-  std::vector<std::pair<std::uint64_t, int>> inserts;
-  for (int i = 0; i < 4000; ++i)
-    inserts.push_back({rng.below(200), static_cast<int>(rng.bit())});
-  for (const auto& [key, group] : inserts) {
-    flat.add(key, group);
-    reference.add(key, group);
-  }
-  EXPECT_EQ(flat.bin_count(), reference.bin_count());
-  for (const auto& [key, cnt] : reference.counts())
-    ASSERT_EQ(flat.counts_for(key), cnt) << "key " << key;
-}
-
-TEST(FlatCountTable, AddKeys64AndPackedMatchScalarAdds) {
-  common::Xoshiro256 rng(47);
-  FlatCountTable batched, packed, scalar;
-  for (int round = 0; round < 50; ++round) {
-    std::array<std::uint64_t, 64> keys;
-    for (auto& key : keys) key = rng.below(1u << 12);
-    const int group = static_cast<int>(rng.bit());
-    batched.add_keys64(keys.data(), group);
-    for (std::uint64_t key : keys) scalar.add(key, group);
-    // A one-sample pack at key_bits = 12 reads bits [0, 12) of each row —
-    // the keys themselves.
-    packed.add_packed(keys.data(), 12, 1, group);
-  }
-  EXPECT_EQ(batched.sorted_keys(), scalar.sorted_keys());
-  for (std::uint64_t key : scalar.sorted_keys()) {
-    ASSERT_EQ(batched.counts_for(key), scalar.counts_for(key));
-    ASSERT_EQ(packed.counts_for(key), scalar.counts_for(key));
-  }
-}
-
-TEST(FlatCountTable, AddPackedExtractsSampleMajor) {
-  // Two 8-bit samples per row: lane L carries sample 0 at bits [0,8) and
-  // sample 1 at bits [8,16).
-  std::array<std::uint64_t, 64> rows{};
-  for (unsigned lane = 0; lane < 64; ++lane)
-    rows[lane] = (static_cast<std::uint64_t>(lane + 100) << 8) | lane;
-  FlatCountTable packed, scalar;
-  packed.add_packed(rows.data(), 8, 2, 1);
-  for (unsigned lane = 0; lane < 64; ++lane) scalar.add(lane, 1);
-  for (unsigned lane = 0; lane < 64; ++lane) scalar.add(lane + 100, 1);
-  EXPECT_EQ(packed.sorted_keys(), scalar.sorted_keys());
-  for (std::uint64_t key : scalar.sorted_keys())
-    ASSERT_EQ(packed.counts_for(key), scalar.counts_for(key));
+  EXPECT_EQ(marginal, hosted_direct);
 }
 
 TEST(FlatCountTable, FlatMergeMatchesScalarReplay) {
   common::Xoshiro256 rng(53);
-  // Master <- two chunk tables (one direct, one hashed) must equal replaying
-  // every observation into one table.
-  FlatCountTable master, chunk_direct, chunk_hashed, replay;
-  master.init_direct(8);
-  chunk_direct.init_direct(8);
-  replay.init_direct(8);
+  // Master <- two chunk tables must equal replaying every observation into
+  // one table.
+  FlatCountTable master(8), chunk_a(8), chunk_b(8), replay(8);
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t key = rng.below(256);
     const int group = static_cast<int>(rng.bit());
-    (i % 2 ? chunk_direct : chunk_hashed).add(key, group);
+    (i % 2 ? chunk_a : chunk_b).add(key, group);
     replay.add(key, group);
   }
-  master.merge(chunk_direct);
-  master.merge(chunk_hashed);
-  EXPECT_EQ(master.sorted_keys(), replay.sorted_keys());
-  for (std::uint64_t key : replay.sorted_keys())
-    ASSERT_EQ(master.counts_for(key), replay.counts_for(key));
+  master.merge(chunk_a);
+  master.merge(chunk_b);
+  EXPECT_EQ(master, replay);
   EXPECT_EQ(master.g_test().g, replay.g_test().g);
 }
 
-TEST(FlatCountTable, MergeOrderDeterministicUnderPooling) {
+TEST(FlatCountTable, MergeIsOrderFree) {
+  // The campaign folds worker tables into the master in whatever order the
+  // workers finish; every order must give the same table and the same
+  // G statistic.
   common::Xoshiro256 rng(59);
-  // When the master's bin cap can pool, merge visits incoming keys sorted,
-  // so the result depends only on table contents — not the insertion order
-  // that built the incoming chunk.
-  FlatCountTable chunk_a, chunk_b;
-  std::vector<std::pair<std::uint64_t, int>> inserts;
-  for (int i = 0; i < 500; ++i)
-    inserts.push_back({rng.below(100), static_cast<int>(rng.bit())});
-  for (const auto& [key, group] : inserts) chunk_a.add(key, group);
-  for (auto it = inserts.rbegin(); it != inserts.rend(); ++it)
-    chunk_b.add(it->first, it->second);  // reversed insertion order
-  auto build_master = [&](const FlatCountTable& chunk) {
-    FlatCountTable master;
-    master.set_bin_limit(20);
-    for (int i = 0; i < 40; ++i) master.add(1000 + i, 0);  // near the cap
-    master.merge(chunk);
-    return master;
-  };
-  const FlatCountTable a = build_master(chunk_a);
-  const FlatCountTable b = build_master(chunk_b);
-  EXPECT_EQ(a.sorted_keys(), b.sorted_keys());
-  for (std::uint64_t key : a.sorted_keys())
-    ASSERT_EQ(a.counts_for(key), b.counts_for(key));
+  std::vector<FlatCountTable> chunks(5, FlatCountTable(7));
+  for (int i = 0; i < 5000; ++i)
+    chunks[rng.below(5)].add(rng.below(128), static_cast<int>(rng.bit()));
+  FlatCountTable forward(7), backward(7);
+  for (const auto& chunk : chunks) forward.merge(chunk);
+  for (auto it = chunks.rbegin(); it != chunks.rend(); ++it)
+    backward.merge(*it);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(forward.g_test().g, backward.g_test().g);
+  EXPECT_EQ(forward.group_total(0) + forward.group_total(1), 5000u);
 }
 
-TEST(FlatCountTable, ContingencyMergeFromFlatMatchesScalar) {
-  common::Xoshiro256 rng(61);
-  FlatCountTable chunk;
-  ContingencyTable via_merge, via_scalar;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t key = rng.below(300);
-    const int group = static_cast<int>(rng.bit());
-    chunk.add(key, group);
-    via_scalar.add(key, group);
-  }
-  via_merge.merge(chunk);
-  EXPECT_EQ(via_merge.bin_count(), via_scalar.bin_count());
-  for (const auto& [key, cnt] : via_scalar.counts())
-    ASSERT_EQ(via_merge.counts().at(key), cnt);
+TEST(FlatCountTable, KeysOutsideTheSpaceAreRejected) {
+  FlatCountTable table(4);
+  EXPECT_THROW(table.add(16, 0), common::Error);
+  EXPECT_THROW(table.add(3, 2), common::Error);
+  EXPECT_EQ(table.counts_for(16), (std::array<std::uint64_t, 2>{0, 0}));
+  FlatCountTable other(5);
+  EXPECT_THROW(table.merge(other), common::Error);
+  FlatCountTable unsized;
+  EXPECT_THROW(unsized.add(0, 0), common::Error);
 }
 
 TEST(FlatCountTable, ClearKeepsModeAndCapacity) {
-  FlatCountTable direct, hashed;
-  direct.init_direct(6);
-  for (int i = 0; i < 100; ++i) {
-    direct.add(static_cast<std::uint64_t>(i % 64), i % 2);
-    hashed.add(static_cast<std::uint64_t>(i * 17), i % 2);
-  }
-  direct.clear();
-  hashed.clear();
-  EXPECT_TRUE(direct.direct_mode());
-  EXPECT_EQ(direct.bin_count(), 0u);
-  EXPECT_EQ(hashed.bin_count(), 0u);
-  EXPECT_EQ(hashed.group_total(0) + hashed.group_total(1), 0u);
-  direct.add(5, 0);
-  hashed.add(5, 0);
-  EXPECT_EQ(direct.counts_for(5)[0], 1u);
-  EXPECT_EQ(hashed.counts_for(5)[0], 1u);
+  FlatCountTable table(6);
+  for (int i = 0; i < 100; ++i)
+    table.add(static_cast<std::uint64_t>(i % 64), i % 2);
+  table.clear();
+  EXPECT_EQ(table.key_bits(), 6u);
+  EXPECT_EQ(table.bin_count(), 0u);
+  EXPECT_EQ(table.group_total(0) + table.group_total(1), 0u);
+  table.add(5, 0);
+  EXPECT_EQ(table.counts_for(5)[0], 1u);
 }
 
 // --- snapshot serialization round trips -------------------------------------
 //
 // The checkpoint/resume machinery depends on serialize() -> deserialize()
-// restoring accumulators whose future behavior is bit-identical to the
-// original — integer counts exactly, Welford moments bit-for-bit.
-
-TEST(Serialization, ContingencyTableRoundTrip) {
-  common::Xoshiro256 rng(7);
-  ContingencyTable table;
-  table.set_bin_limit(200);
-  for (int i = 0; i < 5000; ++i)
-    table.add(rng.below(400), static_cast<int>(rng.bit()));
-  std::ostringstream os;
-  table.serialize(os);
-  std::istringstream is(os.str());
-  const ContingencyTable restored = ContingencyTable::deserialize(is);
-  EXPECT_TRUE(table == restored);
-  // Restored table keeps accumulating identically (same pooling decisions).
-  ContingencyTable a = table, b = restored;
-  for (int i = 0; i < 500; ++i) {
-    a.add(static_cast<std::uint64_t>(i * 3), i % 2);
-    b.add(static_cast<std::uint64_t>(i * 3), i % 2);
-  }
-  EXPECT_TRUE(a == b);
-}
+// restoring count tables exactly, and on deserialize() rejecting anything
+// serialize() could not have written (snapshots are untrusted input).
 
 TEST(Serialization, FlatCountTableDirectRoundTrip) {
-  FlatCountTable table;
-  table.init_direct(10);
+  FlatCountTable table(10);
   common::Xoshiro256 rng(11);
   for (int i = 0; i < 3000; ++i)
     table.add(rng.below(1024), static_cast<int>(rng.bit()));
@@ -550,86 +376,52 @@ TEST(Serialization, FlatCountTableDirectRoundTrip) {
   table.serialize(os);
   std::istringstream is(os.str());
   const FlatCountTable restored = FlatCountTable::deserialize(is);
-  EXPECT_TRUE(restored.direct_mode());
-  EXPECT_TRUE(table == restored);
+  EXPECT_EQ(restored.key_bits(), 10u);
+  EXPECT_EQ(table, restored);
   EXPECT_EQ(table.bin_count(), restored.bin_count());
-  for (std::uint64_t key = 0; key < 1024; ++key)
-    ASSERT_EQ(table.counts_for(key), restored.counts_for(key)) << key;
-}
-
-TEST(Serialization, FlatCountTableHashedRoundTripWithOverflow) {
-  FlatCountTable table;
-  table.set_bin_limit(64);  // forces pooling into the overflow bin
-  common::Xoshiro256 rng(13);
-  for (int i = 0; i < 4000; ++i)
-    table.add(rng.next() & 0xFFFF, static_cast<int>(rng.bit()));
-  std::ostringstream os;
-  table.serialize(os);
-  std::istringstream is(os.str());
-  const FlatCountTable restored = FlatCountTable::deserialize(is);
-  EXPECT_FALSE(restored.direct_mode());
-  EXPECT_TRUE(table == restored);
-  EXPECT_EQ(table.group_total(0), restored.group_total(0));
-  EXPECT_EQ(table.group_total(1), restored.group_total(1));
-  // Future adds pool identically: only already-resident keys get new bins.
-  FlatCountTable a = table, b = restored;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t key = rng.next() & 0xFFFF;
-    const int group = static_cast<int>(rng.bit());
-    a.add(key, group);
-    b.add(key, group);
-  }
-  EXPECT_TRUE(a == b);
-}
-
-TEST(Serialization, MomentAccumulatorRoundTripIsBitExact) {
-  MomentAccumulator acc;
-  common::Xoshiro256 rng(17);
-  for (int i = 0; i < 1000; ++i)
-    acc.add_weighted(static_cast<double>(rng.below(256)), 1 + rng.below(7));
-  std::ostringstream os;
-  acc.serialize(os);
-  std::istringstream is(os.str());
-  MomentAccumulator restored = MomentAccumulator::deserialize(is);
-  EXPECT_TRUE(acc == restored);
-  // Continuing the Welford recurrence from the restored state stays
-  // bit-identical — the property resume depends on.
-  for (int i = 0; i < 200; ++i) {
-    const double x = static_cast<double>(rng.below(256));
-    const std::uint64_t w = 1 + rng.below(7);
-    acc.add_weighted(x, w);
-    restored.add_weighted(x, w);
-  }
-  EXPECT_TRUE(acc == restored);
 }
 
 TEST(Serialization, TruncatedStreamsThrow) {
-  ContingencyTable ct;
-  ct.add(1, 0);
-  ct.add(2, 1);
-  FlatCountTable ft;
+  FlatCountTable ft(5);
   ft.add(10, 0);
   ft.add(20, 1);
-  MomentAccumulator acc;
-  acc.add_weighted(1.5, 3);
-  std::ostringstream a, b, c;
-  ct.serialize(a);
-  ft.serialize(b);
-  acc.serialize(c);
-  for (const std::string& full : {a.str(), b.str(), c.str()})
-    ASSERT_GT(full.size(), 4u);
-  {
-    std::istringstream is(a.str().substr(0, a.str().size() - 3));
-    EXPECT_THROW(ContingencyTable::deserialize(is), common::Error);
+  std::ostringstream os;
+  ft.serialize(os);
+  const std::string full = os.str();
+  ASSERT_GT(full.size(), 4u);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{5}, full.size() / 2,
+                          full.size() - 1}) {
+    std::istringstream is(full.substr(0, cut));
+    EXPECT_THROW(FlatCountTable::deserialize(is), common::Error) << cut;
   }
-  {
-    std::istringstream is(b.str().substr(0, b.str().size() / 2));
-    EXPECT_THROW(FlatCountTable::deserialize(is), common::Error);
-  }
-  {
-    std::istringstream is(c.str().substr(0, 5));
-    EXPECT_THROW(MomentAccumulator::deserialize(is), common::Error);
-  }
+}
+
+TEST(Serialization, MalformedFlatCountTablesAreRejected) {
+  // Hand-written streams: key bits, key count, (key, count, count)...
+  auto stream = [](unsigned key_bits,
+                   const std::vector<std::array<std::uint64_t, 3>>& rows) {
+    std::ostringstream os;
+    common::write_u8(os, static_cast<std::uint8_t>(key_bits));
+    common::write_u64(os, rows.size());
+    for (const auto& row : rows)
+      for (std::uint64_t v : row) common::write_u64(os, v);
+    return os.str();
+  };
+  auto parses = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    FlatCountTable::deserialize(is);
+  };
+  EXPECT_NO_THROW(parses(stream(4, {{1, 2, 3}, {7, 0, 1}})));
+  EXPECT_THROW(parses(stream(FlatCountTable::kMaxKeyBits + 1, {})),
+               common::Error);                                  // too wide
+  EXPECT_THROW(parses(stream(4, {{16, 1, 1}})), common::Error);  // key >= 2^4
+  EXPECT_THROW(parses(stream(4, {{7, 1, 0}, {3, 1, 0}})),
+               common::Error);                                  // descending
+  EXPECT_THROW(parses(stream(4, {{3, 1, 0}, {3, 1, 0}})),
+               common::Error);                                  // duplicate
+  EXPECT_THROW(parses(stream(4, {{3, 0, 0}})), common::Error);   // empty bin
+  EXPECT_THROW(parses(stream(1, {{0, 1, 1}, {1, 1, 1}, {2, 1, 1}})),
+               common::Error);                                  // overfull
 }
 
 }  // namespace

@@ -150,8 +150,19 @@ TEST(Exact, TwoDomAndsSharingOneMaskLeak) {
 
 // --- exact verifier vs the paper's claims (glitch model) --------------------------
 
-class KroneckerExact : public ::testing::TestWithParam<
-                           std::pair<const char*, bool>> {  // (plan, leaks)
+struct PlanLeak {
+  const char* plan;
+  bool leaks;
+};
+
+// Prints the parameter by value, so ctest test names do not carry the
+// `plan` pointer (which moves on every run under address-space
+// randomization).
+void PrintTo(const PlanLeak& v, std::ostream* os) {
+  *os << "{" << v.plan << ", " << (v.leaks ? "leaks" : "secure") << "}";
+}
+
+class KroneckerExact : public ::testing::TestWithParam<PlanLeak> {
  protected:
   static RandomnessPlan plan_by_name(const std::string& name) {
     if (name == "full") return RandomnessPlan::kron1_full_fresh();
@@ -181,15 +192,15 @@ TEST_P(KroneckerExact, MatchesPaperVerdict) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperClaims, KroneckerExact,
-    ::testing::Values(std::pair{"full", false},   // 7 fresh masks: secure
-                      std::pair{"eq6", true},     // CHES 2018 Eq.(6): leaks
-                      std::pair{"single", true},  // r1 = r3 alone: leaks
-                      std::pair{"pair", true},    // r1=r3, r2=r4: leaks
-                      std::pair{"eq9", false},    // repaired Eq.(9): secure
-                      std::pair{"r5r6", true},    // r5 = r6: leaks
-                      std::pair{"trans1", false},
-                      std::pair{"trans4", false}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(PlanLeak{"full", false},   // 7 fresh masks: secure
+                      PlanLeak{"eq6", true},     // CHES 2018 Eq.(6): leaks
+                      PlanLeak{"single", true},  // r1 = r3 alone: leaks
+                      PlanLeak{"pair", true},    // r1=r3, r2=r4: leaks
+                      PlanLeak{"eq9", false},    // repaired Eq.(9): secure
+                      PlanLeak{"r5r6", true},    // r5 = r6: leaks
+                      PlanLeak{"trans1", false},
+                      PlanLeak{"trans4", false}),
+    [](const auto& info) { return std::string(info.param.plan); });
 
 TEST(Exact, Eq6LeakLocalizesToG7) {
   // The paper's Fig. 3: the leaking probes sit inside gate G7, observing the
