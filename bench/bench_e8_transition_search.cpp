@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
   score.expect_flag("baseline (7 fresh) secure", true,
                     search.evaluations[0].secure);
   for (int i = 1; i <= 4; ++i)
-    score.expect_flag("r7 = r" + std::to_string(i) + " secure (solution " +
-                          std::to_string(i) + "/4)",
-                      true, search.evaluations[i].secure);
+    score.expect_flag(
+        common::make_name("r7 = r", i, " secure (solution ", i, "/4)"), true,
+        search.evaluations[i].secure);
   score.expect_flag("r7 = r5 leaks", true, !search.evaluations[5].secure);
   score.expect_flag("r7 = r6 leaks", true, !search.evaluations[6].secure);
   score.expect_flag("minimum fresh bits under transitions = 6", true,

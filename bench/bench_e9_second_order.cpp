@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     if (sweep.complete) {
       std::string secure;
       for (const std::uint64_t idx : sweep.secure_indices())
-        secure += " " + std::to_string(idx);
+        secure += common::make_name(" ", idx);
       std::printf("family13: rejected=%zu sampled=%zu secure=[%s ]\n",
                   sweep.lint_rejected, sweep.expensive_evaluations,
                   secure.c_str());

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   // --- the daemon -----------------------------------------------------------
   service::DaemonOptions options;
   const std::string scratch =
-      "bench_service_scratch_" + std::to_string(::getpid());
+      common::make_name("bench_service_scratch_", ::getpid());
   std::filesystem::create_directories(scratch);
   options.socket_path = scratch + "/evald.sock";
   options.work_dir = scratch + "/work";

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/report.hpp"
 #include "src/gadgets/bus.hpp"
@@ -206,7 +207,7 @@ inline netlist::Netlist kronecker_netlist(const gadgets::RandomnessPlan& plan,
   std::vector<gadgets::Bus> shares;
   for (std::size_t i = 0; i < share_count; ++i)
     shares.push_back(gadgets::make_input_bus(
-        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
+        nl, 8, netlist::InputRole::kShare, common::make_name("b", i, "_"), 0,
         static_cast<std::uint32_t>(i)));
   gadgets::build_kronecker(nl, shares, plan);
   return nl;

@@ -90,18 +90,16 @@ namespace {
                "[--lint-certify] [--json]\n"
                "       [--stages N] [--checkpoint PATH] [--resume] "
                "[--early-stop N] [--early-stop-margin X]\n"
-               "       [--lanes 64|256|512] [--interpreted]\n"
+               "       [--lanes 64|256|512]\n"
                "  --lanes selects the SIMD batch width (default: SCA_LANES "
                "env, else the native width);\n"
-               "  --interpreted forces the 64-lane interpreted kernel (the "
-               "bit-identical oracle);\n"
                "  --job NAME tags every JSON line with \"job\":\"NAME\".\n"
                "client mode (line-delimited JSON against a running evald):\n"
                "  %s submit <socket> <netlist.snl> [job flags] [--watch]\n"
                "  %s watch <socket> <job-id>\n"
                "  %s result <socket> <job-id> [--wait]\n"
                "  %s status|shutdown <socket>\n",
-               argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
@@ -313,8 +311,6 @@ int main(int argc, char** argv) {
       options.early_stop_margin = std::strtod(next(), nullptr);
     } else if (arg == "--lanes") {
       options.lanes = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--interpreted") {
-      options.interpreted_kernel = true;
     } else {
       usage(argv[0]);
     }

@@ -2,7 +2,7 @@
 // simulator and the statistical evaluation engine, plus the bit-sliced
 // primitives behind the campaign's statistics hot path: a Hacker's-Delight
 // 64x64 bit-matrix transpose (64 exact observation keys per call) and a
-// carry-save vertical counter (per-lane Hamming weights of k words in O(k)
+// bit-sliced vertical counter (per-lane Hamming weights of k words in O(k)
 // word operations).
 #pragma once
 
@@ -31,16 +31,6 @@ inline std::uint64_t parity64(std::uint64_t v) {
 /// Extracts bit `i` of `v` as 0/1.
 inline std::uint64_t bit(std::uint64_t v, unsigned i) { return (v >> i) & 1u; }
 
-/// Sets bit `i` of `v` to `b` (b must be 0 or 1).
-inline std::uint64_t with_bit(std::uint64_t v, unsigned i, std::uint64_t b) {
-  return (v & ~(std::uint64_t{1} << i)) | (b << i);
-}
-
-/// Broadcasts a single bit (0/1) to a full 64-bit lane mask (0 or ~0).
-inline std::uint64_t broadcast_bit(std::uint64_t b) {
-  return std::uint64_t{0} - (b & 1u);
-}
-
 /// Index of the least significant set bit; undefined for v == 0.
 inline unsigned ctz64(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
@@ -68,26 +58,6 @@ inline std::uint64_t extract_bits64(std::uint64_t v, std::uint64_t mask) {
 #endif
 }
 
-/// Carry-save adder: one full-adder layer over three 64-lane words. After
-/// the call, per lane, a + b + c == 2 * high + low (bitwise sum and carry).
-inline void csa(std::uint64_t& high, std::uint64_t& low, std::uint64_t a,
-                std::uint64_t b, std::uint64_t c) {
-  const std::uint64_t u = a ^ b;
-  high = (a & b) | (u & c);
-  low = u ^ c;
-}
-
-/// The same full-adder layer over W-lane SIMD words: one vector op per
-/// logic step, so the vertical counters below cost the identical op count
-/// per *word* at 4-8x the lanes.
-template <unsigned kLimbs>
-inline void csa(SimdWord<kLimbs>& high, SimdWord<kLimbs>& low,
-                SimdWord<kLimbs> a, SimdWord<kLimbs> b, SimdWord<kLimbs> c) {
-  const SimdWord<kLimbs> u = a ^ b;
-  high = (a & b) | (u & c);
-  low = u ^ c;
-}
-
 /// In-place transpose of a 64x64 bit matrix (Hacker's Delight 7-3,
 /// recursive block swap): afterwards bit c of m[r] is the former bit r of
 /// m[c]. Self-inverse. This turns k gathered observation words (row d = the
@@ -106,19 +76,6 @@ inline void transpose64(std::uint64_t m[64]) {
       m[k + j] ^= t;
     }
   }
-}
-
-/// Transpose of an 8x8 bit matrix packed row-major into one word (row r =
-/// byte r, i.e. bits [8r, 8r+8)): afterwards bit c of row r is the former
-/// bit r of row c.
-inline std::uint64_t transpose8x8(std::uint64_t x) {
-  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-  x ^= t ^ (t << 7);
-  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-  x ^= t ^ (t << 14);
-  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-  x ^= t ^ (t << 28);
-  return x;
 }
 
 /// Bit-sliced vertical counter: 64 independent saturating-free counters,
@@ -242,20 +199,5 @@ class WideVerticalCounter {
   std::array<Word, kPlanes> planes_{};
   unsigned used_ = 0;
 };
-
-/// One 64-lane block of a W x 64 bit-matrix transpose. The input is `nrows`
-/// rows (nrows <= 64) of kLimbs-limb SIMD lane words — row r holds
-/// observation bit r of W lanes — laid out as rows[r * stride + limb].
-/// The output is the transposed 64x64 block for lanes [64*limb, 64*limb+64):
-/// out[L] is the nrows-bit key of lane 64*limb + L (bit r = row r's bit).
-/// Rows past nrows zero-pad, exactly like the 64x64 core used alone.
-inline void transpose_wx64_block(const std::uint64_t* rows, std::size_t nrows,
-                                 std::size_t stride, unsigned limb,
-                                 std::uint64_t out[64]) {
-  SCA_ASSERT(nrows <= 64, "transpose_wx64_block: at most 64 rows");
-  for (std::size_t r = 0; r < nrows; ++r) out[r] = rows[r * stride + limb];
-  for (std::size_t r = nrows; r < 64; ++r) out[r] = 0;
-  transpose64(out);
-}
 
 }  // namespace sca::common

@@ -102,13 +102,6 @@ class DynamicBitset {
     return true;
   }
 
-  bool intersects(const DynamicBitset& other) const {
-    SCA_ASSERT(size_ == other.size_, "DynamicBitset size mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] & other.words_[i]) return true;
-    return false;
-  }
-
   /// Indices of all set bits, ascending.
   std::vector<std::size_t> set_bits() const {
     std::vector<std::size_t> out;

@@ -115,16 +115,4 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
       [&fn](NoState&, std::size_t i) { fn(i); });
 }
 
-/// Derives the seed of an independent, reproducible RNG stream for work
-/// chunk `chunk` of a campaign seeded with `seed`. Pure function of its
-/// arguments, so chunk c draws the same masks no matter which worker (or
-/// how many workers) executes it. SplitMix64-style finalizer over the
-/// (seed, chunk) pair.
-inline std::uint64_t chunk_seed(std::uint64_t seed, std::uint64_t chunk) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (chunk + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace sca::common

@@ -12,6 +12,11 @@ using common::require;
 
 namespace {
 
+// Hosting searches at most this many superset candidates per set before
+// giving up (hosting is an optimization, so capping is sound; the
+// rarest-point index makes real searches hit in a few probes).
+constexpr std::size_t kHostScanCap = 64;
+
 // True iff `a` (ascending) is a subset of `b` (ascending). Strictness is
 // guaranteed by the caller comparing sizes.
 bool is_subset(const std::vector<std::size_t>& a,
@@ -46,8 +51,6 @@ std::uint64_t subset_key_mask(const std::vector<std::size_t>& sub,
 
 AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets,
                                            const PlanOptions& options) {
-  require(options.narrow_bits <= 8,
-          "accplan: narrow_bits above the trie's combo-stack bound");
   AccumulationPlan plan;
   const std::size_t n = sets.size();
   plan.sets.resize(n);
@@ -60,7 +63,7 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
       p.regime = AccRegime::kTtestHw;
     else if (sets[i].compacted)
       p.regime = AccRegime::kCompacted;
-    else if (sets[i].observation_bits <= options.narrow_bits)
+    else if (sets[i].observation_bits <= kNarrowBits)
       p.regime = AccRegime::kNarrow;
     else
       p.regime = AccRegime::kPacked;
@@ -74,7 +77,7 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
   // the minimal-width host (every superset must contain that point). Host
   // chains (i hosted by j hosted by k) are sound because width strictly
   // increases along host links; finalize_order materializes wide-first.
-  if (options.fuse && !options.ttest) {
+  if (!options.ttest) {
     std::vector<std::uint32_t> exact;
     for (std::size_t i = 0; i < n; ++i)
       if (!sets[i].compacted)
@@ -96,7 +99,7 @@ AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets
       std::size_t scanned = 0;
       for (std::uint32_t j : *rarest) {
         if (sets[j].points->size() <= pts.size()) continue;
-        if (++scanned > options.host_scan_cap) break;
+        if (++scanned > kHostScanCap) break;
         if (!is_subset(pts, *sets[j].points)) continue;
         SetAccPlan& p = plan.sets[i];
         p.regime = AccRegime::kHosted;

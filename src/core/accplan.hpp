@@ -32,8 +32,8 @@
 // two-dimensional (chunk x set-shard) scheduling: large probe-set counts
 // scale past the chunk grid by splitting the live sets into shards that
 // execute as independent work cells. Everything in the plan is a pure
-// function of the batch's set descriptors and the options, so fused and
-// unfused runs (and resumed ones) stay bit-identical by construction.
+// function of the batch's set descriptors and the options, so every plan
+// layout (and every resumed run) counts bit-identically by construction.
 #pragma once
 
 #include <cstddef>
@@ -59,23 +59,19 @@ struct PlanSetInput {
   bool compacted = false;
 };
 
+/// Exact sets at or below this width use the narrow conjunction regime.
+/// 8 balances the 2^bits expansion cost against the transpose path's
+/// per-lane table updates (measured via SCA_DEBUG_ACC on the E2 campaign;
+/// the expansion is one vector op per combo, so it wins as long as the
+/// per-key popcount vectorizes), and it bounds the trie's combo stack.
+inline constexpr std::size_t kNarrowBits = 8;
+
 struct PlanOptions {
   bool transitions = false;  ///< keys carry a previous-cycle half
-  bool ttest = false;        ///< every set runs the HW regime
-  /// Enables hosting and cross-set CSE (the fused G-test pipeline). The
-  /// scalar oracle plans with fuse = false: every set stays live in its
-  /// classic regime, so the oracle's work is untouched by plan structure.
-  bool fuse = true;
-  /// Exact sets at or below this width use the narrow conjunction regime
-  /// (must stay <= 8 so the trie's combo stack is bounded).
-  std::size_t narrow_bits = 8;
+  bool ttest = false;        ///< every set runs the HW regime (no hosting)
   /// Requested probe-set shards for 2-D scheduling (clamped to the live-set
   /// count; 1 = classic chunk-only scheduling).
   unsigned shards = 1;
-  /// Hosting searches at most this many superset candidates per set before
-  /// giving up (hosting is an optimization, so capping is sound; the
-  /// rarest-point index makes real searches hit in a few probes).
-  std::size_t host_scan_cap = 64;
 };
 
 /// One op of a shard's straight-line narrow-conjunction program. The

@@ -31,19 +31,6 @@ enum class Statistic {
                 ///< (first order only; threshold |t| > 4.5)
 };
 
-/// How per-sample observations turn into statistics.
-enum class Accumulation {
-  /// 64-lane word-space hot path: carry-save vertical popcounts for
-  /// Hamming-weight observations, one 64x64 bit-matrix transpose per sample
-  /// for exact keys, direct-indexed count tables.
-  kBitSliced,
-  /// Reference path: per-lane bit extraction with scalar shifts. Produces
-  /// bin-for-bin identical counts and bit-identical statistics — kept as
-  /// the equivalence oracle for the bit-sliced path (and exercised by
-  /// tests), not for production use.
-  kScalar,
-};
-
 /// Progress snapshot emitted after every completed evaluation stage (see
 /// CampaignOptions::stages). All statistics are cumulative over the stages
 /// completed so far; on the final stage of a batch they equal the exact
@@ -68,9 +55,9 @@ struct StageReport {
   double simulate_seconds = 0.0;
   double accumulate_seconds = 0.0;
   double merge_seconds = 0.0;
-  /// Accumulation sub-phases (subset of accumulate_seconds, bit-sliced
-  /// G-test path only): observation-row gathering, bit-matrix transposes,
-  /// and histogram/table updates.
+  /// Accumulation sub-phases (subset of accumulate_seconds, G-test only):
+  /// observation-row gathering, bit-matrix transposes, and histogram/table
+  /// updates.
   double extract_seconds = 0.0;
   double transpose_seconds = 0.0;
   double histogram_seconds = 0.0;
@@ -86,7 +73,6 @@ struct CampaignOptions {
   ProbeModel model = ProbeModel::kGlitch;
   unsigned order = 1;
   Statistic statistic = Statistic::kGTest;
-  Accumulation accumulation = Accumulation::kBitSliced;
 
   /// Observations collected per group (the paper's "number of simulations").
   std::size_t simulations = 200'000;
@@ -109,11 +95,6 @@ struct CampaignOptions {
   /// bit-identical statistics; the checkpoint fingerprint excludes it
   /// and a campaign may resume under a different width.
   unsigned lanes = 0;
-
-  /// Run the interpreted (non-compiled, 64-lane) reference kernel instead
-  /// of the levelized straight-line tape — the correctness oracle the
-  /// compiled wide kernel is tested against. Requires lanes 0 or 64.
-  bool interpreted_kernel = false;
 
   /// Leakage threshold on -log10(p), PROLEAD's default.
   double threshold = 7.0;
@@ -148,11 +129,12 @@ struct CampaignOptions {
   /// are dropped and reported, never silently.
   std::size_t max_probe_sets = 0;
 
-  /// Approximate memory budget for contingency tables. Large order-2
-  /// campaigns are split into probe-set batches, re-running the (cheap,
-  /// seeded) simulation once per batch to stay under the budget. The budget
-  /// covers the master tables plus every worker's own tables, so the
-  /// per-batch share shrinks as the thread count grows.
+  /// Approximate memory budget for count tables. Large order-2 campaigns
+  /// are split into probe-set batches, re-running the (cheap, seeded)
+  /// simulation once per batch to stay under the budget. A batch's tables
+  /// exist only while it runs: the budget covers one batch's master tables
+  /// plus every worker's own tables, so the per-batch share shrinks as the
+  /// thread count grows.
   std::size_t table_memory_budget = std::size_t{4096} * 1024 * 1024;
 
   // --- staged evaluation --------------------------------------------------
@@ -246,11 +228,11 @@ struct CampaignResult {
   double simulate_seconds = 0.0;
   double accumulate_seconds = 0.0;
   double merge_seconds = 0.0;
-  /// Accumulation sub-phases of the bit-sliced G-test pipeline (subset of
+  /// Accumulation sub-phases of the G-test pipeline (subset of
   /// accumulate_seconds): gathering observation rows into transpose blocks,
   /// the 64x64 bit-matrix transposes, and histogram/table updates (trie
-  /// expansion popcounts, packed-key extraction, HW histograms). The scalar
-  /// oracle and the t-test vertical-counter path report zeros here.
+  /// expansion popcounts, packed-key extraction, HW histograms). The t-test
+  /// vertical-counter path reports zeros here.
   double extract_seconds = 0.0;
   double transpose_seconds = 0.0;
   double histogram_seconds = 0.0;

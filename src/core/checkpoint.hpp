@@ -10,16 +10,14 @@
 // accumulator is an integer count table, a resumed campaign ends with the
 // same counts as an uninterrupted one, for any thread count.
 //
-// Cross-path contract: the fingerprint deliberately excludes the thread
-// count, accumulation path (fused plan vs scalar oracle), SIMD lane width,
-// and kernel choice — all are bit-identity-irrelevant by construction. The
-// snapshot stores only fully-materialized master accumulators: hosted sets
-// (finalized as integer marginals of a hosting set by the accumulation
-// plan) are materialized at every stage boundary before saving, so a
-// snapshot written by the fused pipeline is byte-indistinguishable from
-// one written by the scalar oracle at the same cursor, and resume works
-// across paths in both directions (tests/checkpoint_test.cpp,
-// Checkpoint.ResumeAcrossAccumulationPaths).
+// Cross-layout contract: the fingerprint deliberately excludes the thread
+// count and the SIMD lane width — both are bit-identity-irrelevant by
+// construction. The snapshot stores only fully-materialized master
+// accumulators: hosted sets (finalized as integer marginals of a hosting
+// set by the accumulation plan) are materialized at every stage boundary
+// before saving, so a snapshot does not depend on the plan layout (which
+// shards with the thread count) and resumes under any other
+// (tests/checkpoint_test.cpp, Checkpoint.ResumeAcrossThreadCounts).
 //
 // On-disk format: an 8-byte magic, a version word, a length-prefixed
 // payload, and an FNV-1a checksum of the payload; writes go through a
@@ -43,8 +41,8 @@ struct CampaignSnapshot {
   /// FNV-1a fingerprint of the campaign configuration (seed, budget, chunk
   /// grid, stage schedule, batch ranges, probe-set names, ...). Resume
   /// refuses a snapshot whose fingerprint does not match the options —
-  /// thread count and accumulation regime are deliberately excluded, since
-  /// both are bit-identical by contract and resuming across them is sound.
+  /// thread count and lane width are deliberately excluded, since both are
+  /// bit-identical by contract and resuming across them is sound.
   std::uint64_t fingerprint = 0;
   std::uint64_t num_chunks = 0;
   std::uint64_t batches_total = 0;

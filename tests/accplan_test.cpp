@@ -6,10 +6,11 @@
 // more expansion work than the unshared per-set total, packed gather
 // recipes must reproduce each set's key bit-for-bit, and the shard
 // partition must cover every live set exactly once. On top of that, the
-// campaign built on the plan must be bit-identical to the retained scalar
-// per-set oracle for every regime the planner can select — narrow, packed,
-// compacted, hosted and t-test — at every lane width and thread count,
-// including the 2-D (chunk x probe-set shard) schedule.
+// campaign built on the plan must be bit-identical to the scalar reference
+// campaign (tests/reference_campaign.hpp) for every regime the planner can
+// select — narrow, packed, compacted, hosted and t-test — at every lane
+// width and thread count, including the 2-D (chunk x probe-set shard)
+// schedule.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 #include "src/netlist/ir.hpp"
+#include "tests/reference_campaign.hpp"
 
 namespace sca {
 namespace {
@@ -84,19 +86,6 @@ TEST(AccPlan, HostMaskMirrorsPreviousHalfUnderTransitions) {
   // Now half selects host bits {0, 2}; the prev half mirrors them three
   // (= host point count) positions higher.
   EXPECT_EQ(plan.sets[1].host_mask, 0b101101u);
-}
-
-TEST(AccPlan, FuseOffKeepsEverySetLive) {
-  const std::vector<std::size_t> super = {0, 1, 2, 3};
-  const std::vector<std::size_t> sub = {1, 2};
-  const std::vector<ap::PlanSetInput> sets = {set_input(super),
-                                              set_input(sub)};
-  ap::PlanOptions opts;
-  opts.fuse = false;
-  const ap::AccumulationPlan plan = ap::compile_accumulation_plan(sets, opts);
-  EXPECT_EQ(plan.hosted_sets, 0u);
-  EXPECT_EQ(plan.live_sets, 2u);
-  EXPECT_EQ(plan.sets[1].regime, ap::AccRegime::kNarrow);
 }
 
 TEST(AccPlan, TrieSharesCommonExpansionPrefixes) {
@@ -247,27 +236,30 @@ void expect_identical(const eval::CampaignResult& a,
   }
 }
 
+void expect_matches_reference(const eval::CampaignResult& result,
+                              const std::vector<testutil::ReferenceSet>& ref,
+                              const std::string& tag) {
+  const std::vector<std::string> problems =
+      testutil::reference_mismatches(result, ref);
+  EXPECT_TRUE(problems.empty()) << tag << "\n" << testutil::joined(problems);
+}
+
 TEST(AccPlanCampaign, FusedMatchesScalarOracleAcrossLanesAndThreads) {
   // The tentpole contract: hosting, conjunction CSE, shared transposes and
   // the 2-D shard schedule are all plan structure, never statistics — the
   // fused pipeline at every lane width and thread count must reproduce the
-  // scalar per-set oracle bit for bit.
+  // scalar per-set reference bit for bit.
   const Netlist nl = kronecker_netlist();
-  eval::CampaignOptions base_opts = campaign_options(12000);
-  base_opts.accumulation = eval::Accumulation::kScalar;
-  base_opts.threads = 1;
-  const eval::CampaignResult base = eval::run_fixed_vs_random(nl, base_opts);
-  EXPECT_EQ(base.hosted_sets, 0u);  // the oracle never hosts
-
+  const auto reference =
+      testutil::reference_campaign(nl, campaign_options(12000));
   for (unsigned lanes : {64u, 256u, 512u}) {
     for (unsigned threads : {1u, 2u, 8u}) {
       eval::CampaignOptions opts = campaign_options(12000);
       opts.lanes = lanes;
       opts.threads = threads;
-      const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
-      expect_identical(base, r,
-                       "fused " + std::to_string(lanes) + " lanes / " +
-                           std::to_string(threads) + " threads");
+      expect_matches_reference(eval::run_fixed_vs_random(nl, opts), reference,
+                               "fused " + std::to_string(lanes) + " lanes / " +
+                                   std::to_string(threads) + " threads");
     }
   }
 }
@@ -275,17 +267,14 @@ TEST(AccPlanCampaign, FusedMatchesScalarOracleAcrossLanesAndThreads) {
 TEST(AccPlanCampaign, SboxHostingPreservesStatistics) {
   // On the full masked Sbox most first-order glitch-extended sets are
   // strict subsets of their cone roots; the fused run must host a large
-  // fraction of them and still match the oracle exactly.
+  // fraction of them and still match the reference exactly.
   const Netlist nl = sbox_netlist();
-  eval::CampaignOptions scalar_opts = campaign_options(4000);
-  scalar_opts.accumulation = eval::Accumulation::kScalar;
-  const eval::CampaignResult scalar = eval::run_fixed_vs_random(nl, scalar_opts);
-  EXPECT_EQ(scalar.hosted_sets, 0u);
-
   const eval::CampaignResult fused =
       eval::run_fixed_vs_random(nl, campaign_options(4000));
   EXPECT_GT(fused.hosted_sets, 0u);
-  expect_identical(scalar, fused, "sbox hosted vs scalar");
+  expect_matches_reference(
+      fused, testutil::reference_campaign(nl, campaign_options(4000)),
+      "sbox hosted vs reference");
 
   // The alias counter is the sum of the per-representative alias lists.
   std::size_t alias_names = 0;
@@ -296,40 +285,31 @@ TEST(AccPlanCampaign, SboxHostingPreservesStatistics) {
 
 TEST(AccPlanCampaign, CompactedRegimeFusedMatchesScalar) {
   // Glitch+transition doubles every key width; a tight observation cap
-  // forces wide sets into the compacted HW-pair regime in both paths.
+  // forces wide sets into the compacted HW-pair regime.
   const Netlist nl = kronecker_netlist();
-  eval::CampaignOptions scalar_opts = campaign_options(8000);
-  scalar_opts.model = eval::ProbeModel::kGlitchTransition;
-  scalar_opts.max_observation_bits = 6;
-  scalar_opts.accumulation = eval::Accumulation::kScalar;
-  const eval::CampaignResult scalar = eval::run_fixed_vs_random(nl, scalar_opts);
-
-  eval::CampaignOptions fused_opts = campaign_options(8000);
-  fused_opts.model = eval::ProbeModel::kGlitchTransition;
-  fused_opts.max_observation_bits = 6;
-  fused_opts.threads = 2;
-  const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, fused_opts);
+  eval::CampaignOptions opts = campaign_options(8000);
+  opts.model = eval::ProbeModel::kGlitchTransition;
+  opts.max_observation_bits = 6;
+  opts.threads = 2;
+  const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, opts);
 
   bool any_compacted = false;
   for (const eval::ProbeSetResult& r : fused.results)
     any_compacted |= r.compacted;
   EXPECT_TRUE(any_compacted);
-  expect_identical(scalar, fused, "compacted transition model");
+  expect_matches_reference(fused, testutil::reference_campaign(nl, opts),
+                           "compacted transition model");
 }
 
 TEST(AccPlanCampaign, TtestFusedMatchesScalar) {
   const Netlist nl = kronecker_netlist();
-  eval::CampaignOptions scalar_opts = campaign_options(8000);
-  scalar_opts.statistic = eval::Statistic::kWelchTTest;
-  scalar_opts.accumulation = eval::Accumulation::kScalar;
-  const eval::CampaignResult scalar = eval::run_fixed_vs_random(nl, scalar_opts);
-
-  eval::CampaignOptions fused_opts = campaign_options(8000);
-  fused_opts.statistic = eval::Statistic::kWelchTTest;
-  fused_opts.threads = 2;
-  const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, fused_opts);
+  eval::CampaignOptions opts = campaign_options(8000);
+  opts.statistic = eval::Statistic::kWelchTTest;
+  opts.threads = 2;
+  const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, opts);
   EXPECT_EQ(fused.statistic, eval::Statistic::kWelchTTest);
-  expect_identical(scalar, fused, "welch t-test");
+  expect_matches_reference(fused, testutil::reference_campaign(nl, opts),
+                           "welch t-test");
 }
 
 TEST(AccPlanCampaign, ProbeSetShardsEngageAndPreserveStatistics) {

@@ -3,7 +3,7 @@
 // The contract under test: a staged campaign is bit-identical to an
 // unstaged one; a campaign killed at ANY stage boundary and resumed from
 // its snapshot produces bit-identical final statistics to the uninterrupted
-// run, for any thread count and both accumulation regimes; corrupted or
+// run, for any thread count; corrupted or
 // mismatched snapshots are rejected with a clear error, never interpreted;
 // early stopping cuts leaky campaigns short and leaves secure ones alone.
 
@@ -45,14 +45,12 @@ Netlist kronecker_netlist(const RandomnessPlan& plan) {
 }
 
 CampaignOptions staged_options(std::size_t sims, unsigned stages,
-                               unsigned threads,
-                               Accumulation acc = Accumulation::kBitSliced) {
+                               unsigned threads) {
   CampaignOptions opts;
   opts.model = ProbeModel::kGlitch;
   opts.simulations = sims;
   opts.stages = stages;
   opts.threads = threads;
-  opts.accumulation = acc;
   opts.fixed_values[0] = 0x00;
   return opts;
 }
@@ -129,38 +127,34 @@ TEST(Staged, StageReportsProgressMonotonically) {
 
 // The central property: kill at every stage boundary, resume, and the final
 // statistics are bit-for-bit those of the uninterrupted run — across thread
-// counts and both accumulation regimes.
+// counts.
 TEST(Checkpoint, ResumeAtEveryStageBoundaryMatchesUninterrupted) {
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_pair_reuse());
   constexpr std::size_t kSims = 12000;
   constexpr unsigned kStages = 4;
-  for (const Accumulation acc :
-       {Accumulation::kBitSliced, Accumulation::kScalar}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const CampaignResult whole = run_fixed_vs_random(
-          nl, staged_options(kSims, kStages, threads, acc));
-      EXPECT_FALSE(whole.interrupted);
-      for (unsigned kill_after = 1; kill_after < kStages; ++kill_after) {
-        const std::string tag = std::to_string(static_cast<int>(acc)) + "_" +
-                                std::to_string(threads) + "_" +
-                                std::to_string(kill_after);
-        CampaignOptions opts = staged_options(kSims, kStages, threads, acc);
-        opts.checkpoint_path = ckpt_path(tag);
-        opts.stop_after_stage = kill_after;
-        const CampaignResult partial = run_fixed_vs_random(nl, opts);
-        EXPECT_TRUE(partial.interrupted) << tag;
-        EXPECT_LT(partial.simulations_done, whole.simulations_done) << tag;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const CampaignResult whole =
+        run_fixed_vs_random(nl, staged_options(kSims, kStages, threads));
+    EXPECT_FALSE(whole.interrupted);
+    for (unsigned kill_after = 1; kill_after < kStages; ++kill_after) {
+      const std::string tag =
+          std::to_string(threads) + "_" + std::to_string(kill_after);
+      CampaignOptions opts = staged_options(kSims, kStages, threads);
+      opts.checkpoint_path = ckpt_path(tag);
+      opts.stop_after_stage = kill_after;
+      const CampaignResult partial = run_fixed_vs_random(nl, opts);
+      EXPECT_TRUE(partial.interrupted) << tag;
+      EXPECT_LT(partial.simulations_done, whole.simulations_done) << tag;
 
-        CampaignOptions resume = staged_options(kSims, kStages, threads, acc);
-        resume.checkpoint_path = opts.checkpoint_path;
-        resume.resume = true;
-        const CampaignResult resumed = run_fixed_vs_random(nl, resume);
-        EXPECT_TRUE(resumed.resumed) << tag;
-        EXPECT_FALSE(resumed.interrupted) << tag;
-        EXPECT_EQ(resumed.simulations_done, whole.simulations_done) << tag;
-        expect_identical(whole, resumed);
-        std::remove(opts.checkpoint_path.c_str());
-      }
+      CampaignOptions resume = staged_options(kSims, kStages, threads);
+      resume.checkpoint_path = opts.checkpoint_path;
+      resume.resume = true;
+      const CampaignResult resumed = run_fixed_vs_random(nl, resume);
+      EXPECT_TRUE(resumed.resumed) << tag;
+      EXPECT_FALSE(resumed.interrupted) << tag;
+      EXPECT_EQ(resumed.simulations_done, whole.simulations_done) << tag;
+      expect_identical(whole, resumed);
+      std::remove(opts.checkpoint_path.c_str());
     }
   }
 }
@@ -169,7 +163,9 @@ TEST(Checkpoint, ResumeAcrossThreadCounts) {
   // Thread count is excluded from the snapshot fingerprint on purpose:
   // the campaign is bit-identical across thread counts, so interrupting at
   // 1 thread and resuming at 8 (or vice versa) must still reproduce the
-  // uninterrupted statistics.
+  // uninterrupted statistics. The plan layout changes with the thread
+  // count (8 threads shard the probe sets), so this is also the resume
+  // across plan layouts.
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_pair_reuse());
   const CampaignResult whole =
       run_fixed_vs_random(nl, staged_options(12000, 3, 1));
@@ -184,39 +180,6 @@ TEST(Checkpoint, ResumeAcrossThreadCounts) {
   EXPECT_TRUE(resumed.resumed);
   expect_identical(whole, resumed);
   std::remove(opts.checkpoint_path.c_str());
-}
-
-TEST(Checkpoint, ResumeAcrossAccumulationPaths) {
-  // The accumulation path is excluded from the snapshot fingerprint like
-  // the kernel and lane width: snapshots carry fully-materialized tables
-  // (hosted marginals included), so a campaign interrupted on the fused
-  // compiled pipeline must resume on the scalar per-set oracle — and the
-  // other way around — and still match the uninterrupted run bit for bit.
-  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
-  const CampaignResult whole =
-      run_fixed_vs_random(nl, staged_options(12000, 3, 1));
-  const std::pair<Accumulation, Accumulation> directions[] = {
-      {Accumulation::kBitSliced, Accumulation::kScalar},
-      {Accumulation::kScalar, Accumulation::kBitSliced}};
-  for (const auto& [first, second] : directions) {
-    const std::string tag = first == Accumulation::kScalar
-                                ? "scalar_to_fused"
-                                : "fused_to_scalar";
-    CampaignOptions opts = staged_options(12000, 3, 2, first);
-    opts.checkpoint_path = ckpt_path(tag);
-    opts.stop_after_stage = 1;
-    const CampaignResult partial = run_fixed_vs_random(nl, opts);
-    EXPECT_TRUE(partial.interrupted) << tag;
-
-    CampaignOptions resume = staged_options(12000, 3, 2, second);
-    resume.checkpoint_path = opts.checkpoint_path;
-    resume.resume = true;
-    const CampaignResult resumed = run_fixed_vs_random(nl, resume);
-    EXPECT_TRUE(resumed.resumed) << tag;
-    EXPECT_FALSE(resumed.interrupted) << tag;
-    expect_identical(whole, resumed);
-    std::remove(opts.checkpoint_path.c_str());
-  }
 }
 
 TEST(Checkpoint, ResumeUnderTableBatching) {

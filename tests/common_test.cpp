@@ -26,13 +26,6 @@ TEST(Bitops, Parity) {
 TEST(Bitops, BitAndWithBit) {
   EXPECT_EQ(bit(0b100, 2), 1u);
   EXPECT_EQ(bit(0b100, 1), 0u);
-  EXPECT_EQ(with_bit(0b100, 0, 1), 0b101u);
-  EXPECT_EQ(with_bit(0b101, 2, 0), 0b001u);
-}
-
-TEST(Bitops, BroadcastBit) {
-  EXPECT_EQ(broadcast_bit(0), 0u);
-  EXPECT_EQ(broadcast_bit(1), ~std::uint64_t{0});
 }
 
 TEST(Bitops, CeilDiv) {
@@ -132,10 +125,6 @@ TEST(DynamicBitset, SubsetAndIntersects) {
   b.set(6);
   EXPECT_TRUE(a.is_subset_of(b));
   EXPECT_FALSE(b.is_subset_of(a));
-  EXPECT_TRUE(a.intersects(b));
-  DynamicBitset c(80);
-  c.set(7);
-  EXPECT_FALSE(a.intersects(c));
 }
 
 TEST(DynamicBitset, SetBitsAscending) {
@@ -227,35 +216,6 @@ TEST(ThreadPool, StatefulVariantBuildsOneStatePerWorker) {
   EXPECT_LE(states_made.load(), 4);
 }
 
-TEST(ThreadPool, ChunkSeedsAreDistinctPerChunkAndSeed) {
-  std::set<std::uint64_t> seeds;
-  for (std::uint64_t campaign_seed : {0ull, 1ull, 0xDEADBEEFull})
-    for (std::uint64_t chunk = 0; chunk < 64; ++chunk)
-      seeds.insert(chunk_seed(campaign_seed, chunk));
-  EXPECT_EQ(seeds.size(), 3u * 64u);
-  // Streams seeded from adjacent chunks must not correlate trivially.
-  Xoshiro256 a(chunk_seed(42, 0)), b(chunk_seed(42, 1));
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next() == b.next()) ++same;
-  EXPECT_LT(same, 2);
-}
-
-TEST(Bitops, CsaIsAFullAdderPerLane) {
-  Xoshiro256 rng(7);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::uint64_t a = rng.next(), b = rng.next(), c = rng.next();
-    std::uint64_t high = 0, low = 0;
-    csa(high, low, a, b, c);
-    for (unsigned lane = 0; lane < 64; ++lane) {
-      const unsigned sum = static_cast<unsigned>((a >> lane) & 1) +
-                           static_cast<unsigned>((b >> lane) & 1) +
-                           static_cast<unsigned>((c >> lane) & 1);
-      EXPECT_EQ(2 * ((high >> lane) & 1) + ((low >> lane) & 1), sum);
-    }
-  }
-}
-
 TEST(Bitops, ExtractBits64MatchesNaiveGather) {
   Xoshiro256 rng(29);
   for (int trial = 0; trial < 200; ++trial) {
@@ -293,18 +253,6 @@ TEST(Bitops, Transpose64IsSelfInverse) {
   transpose64(m);
   transpose64(m);
   for (unsigned r = 0; r < 64; ++r) EXPECT_EQ(m[r], original[r]);
-}
-
-TEST(Bitops, Transpose8x8MatchesNaive) {
-  Xoshiro256 rng(17);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t x = rng.next();
-    const std::uint64_t y = transpose8x8(x);
-    for (unsigned r = 0; r < 8; ++r)
-      for (unsigned c = 0; c < 8; ++c)
-        ASSERT_EQ((y >> (8 * r + c)) & 1, (x >> (8 * c + r)) & 1);
-    EXPECT_EQ(transpose8x8(y), x);
-  }
 }
 
 TEST(VerticalCounter, MatchesNaivePerLanePopcount) {
@@ -424,25 +372,6 @@ TEST(Simd, LaneWidthResolution) {
   EXPECT_THROW(resolve_lanes(100), std::runtime_error);
 }
 
-TEST(Bitops, WideCsaIsAFullAdderPerLane) {
-  Xoshiro256 rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::uint64_t a[4], b[4], c[4];
-    for (auto& w : a) w = rng.next();
-    for (auto& w : b) w = rng.next();
-    for (auto& w : c) w = rng.next();
-    SimdWord<4> high, low;
-    csa(high, low, SimdWord<4>::load(a), SimdWord<4>::load(b),
-        SimdWord<4>::load(c));
-    for (unsigned i = 0; i < 4; ++i) {
-      std::uint64_t sh = 0, sl = 0;
-      csa(sh, sl, a[i], b[i], c[i]);
-      ASSERT_EQ(high.limb(i), sh) << "limb " << i;
-      ASSERT_EQ(low.limb(i), sl) << "limb " << i;
-    }
-  }
-}
-
 TEST(WideVerticalCounter, MatchesPerLimbScalarCounters) {
   Xoshiro256 rng(37);
   for (unsigned words : {0u, 1u, 5u, 40u, 130u}) {
@@ -473,26 +402,6 @@ TEST(WideVerticalCounter, MatchesPerLimbScalarCounters) {
     wide.clear();
     EXPECT_EQ(wide.total(), 0u);
     EXPECT_EQ(wide.planes_in_use(), 0u);
-  }
-}
-
-TEST(Bitops, TransposeWx64BlockMatchesPerLimbTranspose) {
-  Xoshiro256 rng(41);
-  constexpr std::size_t kRows = 13;   // deliberately not a multiple of 64
-  constexpr std::size_t kStride = 8;  // 512-lane rows
-  std::vector<std::uint64_t> rows(kRows * kStride);
-  for (auto& w : rows) w = rng.next();
-  for (unsigned limb = 0; limb < kStride; ++limb) {
-    std::uint64_t out[64];
-    transpose_wx64_block(rows.data(), kRows, kStride, limb, out);
-    for (unsigned lane = 0; lane < 64; ++lane)
-      for (std::size_t r = 0; r < kRows; ++r)
-        ASSERT_EQ((out[lane] >> r) & 1,
-                  (rows[r * kStride + limb] >> lane) & 1)
-            << "limb " << limb << " lane " << lane << " row " << r;
-    // Rows past kRows zero-pad the keys.
-    for (unsigned lane = 0; lane < 64; ++lane)
-      ASSERT_EQ(out[lane] >> kRows, 0u);
   }
 }
 

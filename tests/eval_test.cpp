@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "src/common/check.hpp"
 #include "src/core/campaign.hpp"
@@ -12,6 +13,7 @@
 #include "src/gadgets/kronecker.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/ir.hpp"
+#include "tests/reference_campaign.hpp"
 
 namespace sca::eval {
 namespace {
@@ -322,53 +324,59 @@ TEST(Campaign, DeterministicUnderTableBatching) {
 }
 
 TEST(Campaign, BitSlicedMatchesScalarBinForBin) {
-  // The bit-sliced accumulation path (CSA popcounts, packed transposes,
-  // flat direct-indexed tables) must be a pure speedup: every statistic is
-  // bit-identical to the scalar reference path on the same seed, across the
-  // glitch model, the transition model, and both thread counts.
+  // The bit-sliced accumulation (CSA popcounts, packed transposes, flat
+  // direct-indexed tables) must be a pure speedup: every statistic is
+  // bit-identical to the scalar per-lane reference campaign on the same
+  // seed, across the glitch model, the transition model, and both thread
+  // counts.
   Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
   for (ProbeModel model : {ProbeModel::kGlitch, ProbeModel::kGlitchTransition}) {
     CampaignOptions opts = kron_options(model, 2000);
     opts.seed = 11;
+    const auto reference = testutil::reference_campaign(nl, opts);
     for (unsigned threads : {1u, 2u}) {
       opts.threads = threads;
-      opts.accumulation = Accumulation::kScalar;
-      const CampaignResult scalar = run_fixed_vs_random(nl, opts);
-      opts.accumulation = Accumulation::kBitSliced;
       const CampaignResult sliced = run_fixed_vs_random(nl, opts);
-      ASSERT_EQ(sliced.results.size(), scalar.results.size());
-      EXPECT_EQ(sliced.pass, scalar.pass);
-      EXPECT_EQ(sliced.max_minus_log10_p, scalar.max_minus_log10_p);
-      for (std::size_t i = 0; i < scalar.results.size(); ++i) {
-        EXPECT_EQ(sliced.results[i].name, scalar.results[i].name);
-        EXPECT_EQ(sliced.results[i].g.g, scalar.results[i].g.g)
-            << sliced.results[i].name;
-        EXPECT_EQ(sliced.results[i].g.bins, scalar.results[i].g.bins);
-        EXPECT_EQ(sliced.results[i].g.n_fixed, scalar.results[i].g.n_fixed);
-        EXPECT_EQ(sliced.results[i].minus_log10_p,
-                  scalar.results[i].minus_log10_p);
-      }
+      const auto problems = testutil::reference_mismatches(sliced, reference);
+      EXPECT_TRUE(problems.empty())
+          << threads << " threads\n" << testutil::joined(problems);
     }
   }
 }
 
 TEST(Campaign, BitSlicedMatchesScalarTTest) {
-  // Same contract for the t-test: the weighted Hamming-weight moment feed
-  // (add_weighted of popcount histograms) must reproduce the per-lane
-  // scalar moment stream exactly, including FP summation order.
+  // Same contract for the t-test: the vertical-counter Hamming-weight
+  // histograms must equal the per-lane scalar weights, so the folded t is
+  // bit-identical.
   Netlist nl = kronecker_netlist(RandomnessPlan::kron1_full_fresh());
   CampaignOptions opts = kron_options(ProbeModel::kGlitch, 2000);
   opts.statistic = Statistic::kWelchTTest;
   opts.threads = 2;
-  opts.accumulation = Accumulation::kScalar;
-  const CampaignResult scalar = run_fixed_vs_random(nl, opts);
-  opts.accumulation = Accumulation::kBitSliced;
   const CampaignResult sliced = run_fixed_vs_random(nl, opts);
-  ASSERT_EQ(sliced.results.size(), scalar.results.size());
-  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
-    EXPECT_EQ(sliced.results[i].t.t, scalar.results[i].t.t)
-        << sliced.results[i].name;
-    EXPECT_EQ(sliced.results[i].severity, scalar.results[i].severity);
+  const auto problems = testutil::reference_mismatches(
+      sliced, testutil::reference_campaign(nl, opts));
+  EXPECT_TRUE(problems.empty()) << testutil::joined(problems);
+}
+
+TEST(Campaign, TransitionSampleWithoutWarmupSeesTheResetState) {
+  // With no warmup the first sample is taken in the first cycle after the
+  // simulator reset, so its previous-cycle half is the all-zero reset
+  // state, never a row left over from another run: the statistics match
+  // the reference at every lane width and thread count.
+  Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
+  CampaignOptions opts = kron_options(ProbeModel::kGlitchTransition, 4000);
+  opts.warmup_cycles = 0;
+  opts.sample_interval = 1;
+  const auto reference = testutil::reference_campaign(nl, opts);
+  for (const auto& [lanes, threads] :
+       {std::pair{64u, 1u}, std::pair{512u, 8u}}) {
+    opts.lanes = lanes;
+    opts.threads = threads;
+    const auto problems =
+        testutil::reference_mismatches(run_fixed_vs_random(nl, opts), reference);
+    EXPECT_TRUE(problems.empty())
+        << lanes << " lanes / " << threads << " threads\n"
+        << testutil::joined(problems);
   }
 }
 

@@ -38,6 +38,7 @@
 #include "src/gadgets/masked_sbox2.hpp"
 #include "src/lint/linter.hpp"
 #include "src/verif/exact.hpp"
+#include "tests/reference_campaign.hpp"
 
 namespace sca::eval {
 namespace {
@@ -70,21 +71,27 @@ constexpr GTestPin kKronOrder2GTestPins[] = {
 #include "tests/golden_gtest_pins_kron_o2.inc"
 };
 
-void expect_pinned(const CampaignResult& result,
+void expect_pinned(const std::map<std::string, stats::GTestResult>& by_name,
                    std::span<const GTestPin> pins) {
-  ASSERT_EQ(result.results.size(), pins.size());
-  std::map<std::string, const ProbeSetResult*> by_name;
-  for (const ProbeSetResult& r : result.results) by_name[r.name] = &r;
+  ASSERT_EQ(by_name.size(), pins.size());
   for (const GTestPin& pin : pins) {
     const auto it = by_name.find(pin.name);
     ASSERT_NE(it, by_name.end()) << pin.name;
-    const stats::GTestResult& g = it->second->g;
+    const stats::GTestResult& g = it->second;
     EXPECT_EQ(g.df, pin.df) << pin.name;
     EXPECT_EQ(g.bins, pin.bins) << pin.name;
     EXPECT_NEAR(g.minus_log10_p, pin.minus_log10_p,
                 1e-12 * std::max(1.0, std::abs(pin.minus_log10_p)))
         << pin.name;
   }
+}
+
+void expect_pinned(const CampaignResult& result,
+                   std::span<const GTestPin> pins) {
+  std::map<std::string, stats::GTestResult> by_name;
+  for (const ProbeSetResult& r : result.results) by_name[r.name] = r.g;
+  ASSERT_EQ(by_name.size(), result.results.size());
+  expect_pinned(by_name, pins);
 }
 
 TEST(GoldenVerdicts, E1SboxWithoutKroneckerPasses) {
@@ -335,8 +342,9 @@ TEST(GoldenVerdicts, NullCalibrationProducesNoVerdicts) {
   EXPECT_GT(result.max_minus_log10_p, 0.1);
 }
 
-TEST(GoldenGTestPins, Order2GlitchTransitionWithCompactedSets) {
-  netlist::Netlist nl;
+// The order-2 glitch+transition campaign over kron.G7 behind
+// kKronOrder2GTestPins.
+CampaignOptions kron_order2_options(netlist::Netlist& nl) {
   std::vector<gadgets::Bus> shares;
   for (std::uint32_t i = 0; i < 2; ++i)
     shares.push_back(gadgets::make_input_bus(
@@ -349,10 +357,35 @@ TEST(GoldenGTestPins, Order2GlitchTransitionWithCompactedSets) {
   opts.simulations = 4000;
   opts.fixed_values[0] = 0x00;
   opts.probe_scope_filter = "kron.G7";
+  return opts;
+}
+
+TEST(GoldenGTestPins, Order2GlitchTransitionWithCompactedSets) {
+  netlist::Netlist nl;
+  const CampaignOptions opts = kron_order2_options(nl);
   const CampaignResult result = run_fixed_vs_random(nl, opts);
   EXPECT_TRUE(std::any_of(result.results.begin(), result.results.end(),
                           [](const ProbeSetResult& r) { return r.compacted; }));
   expect_pinned(result, kKronOrder2GTestPins);
+}
+
+// The scalar reference campaign the equivalence tests compare against must
+// itself reproduce the pinned numbers, so it is anchored to the pins and
+// not only to the production engine.
+TEST(GoldenGTestPins, ReferenceCampaignReproducesOrder2Pins) {
+  netlist::Netlist nl;
+  const CampaignOptions opts = kron_order2_options(nl);
+  const std::vector<testutil::ReferenceSet> reference =
+      testutil::reference_campaign(nl, opts);
+  std::map<std::string, stats::GTestResult> by_name;
+  bool any_compacted = false;
+  for (const testutil::ReferenceSet& r : reference) {
+    by_name[r.name] = r.g;
+    any_compacted |= r.compacted;
+  }
+  EXPECT_TRUE(any_compacted);
+  EXPECT_EQ(by_name.size(), reference.size());
+  expect_pinned(by_name, kKronOrder2GTestPins);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 // width (64/256/512, with dead-gate elimination on or off) is bit-identical
 // to the interpreted 64-lane oracle on every gadget the paper evaluates —
 // per limb, per cycle, per signal — and the campaign engine built on it
-// produces bit-identical statistics for every (kernel, lane width, thread
+// matches the interpreted 64-lane reference campaign
+// (tests/reference_campaign.hpp) bit for bit at every (lane width, thread
 // count) combination, including across a forced checkpoint/resume that
-// switches both the width and the kernel.
+// switches the width.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "src/netlist/ir.hpp"
 #include "src/netlist/slice.hpp"
 #include "src/sim/simulator.hpp"
+#include "tests/reference_campaign.hpp"
 
 namespace sca {
 namespace {
@@ -170,33 +172,22 @@ eval::CampaignOptions campaign_options(std::size_t sims) {
   return opts;
 }
 
-void expect_identical(const eval::CampaignResult& a,
-                      const eval::CampaignResult& b, const std::string& tag) {
-  EXPECT_EQ(a.pass, b.pass) << tag;
-  EXPECT_EQ(a.leaking_sets, b.leaking_sets) << tag;
-  EXPECT_EQ(a.max_minus_log10_p, b.max_minus_log10_p) << tag;
-  ASSERT_EQ(a.results.size(), b.results.size()) << tag;
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].name, b.results[i].name) << tag;
-    EXPECT_EQ(a.results[i].g.g, b.results[i].g.g) << tag;
-    EXPECT_EQ(a.results[i].minus_log10_p, b.results[i].minus_log10_p) << tag;
-    EXPECT_EQ(a.results[i].g.n_fixed, b.results[i].g.n_fixed) << tag;
-    EXPECT_EQ(a.results[i].g.n_random, b.results[i].g.n_random) << tag;
-  }
+void expect_matches_reference(const eval::CampaignResult& result,
+                              const std::vector<testutil::ReferenceSet>& ref,
+                              const std::string& tag) {
+  const std::vector<std::string> problems =
+      testutil::reference_mismatches(result, ref);
+  EXPECT_TRUE(problems.empty()) << tag << "\n" << testutil::joined(problems);
 }
 
 TEST(KernelCampaign, BitIdenticalAcrossKernelLanesAndThreads) {
   // The tentpole contract: the counter PRG addresses randomness by absolute
   // simulation coordinates and the chunk grid ignores width and thread
-  // count, so the interpreted 64-lane oracle and the compiled kernel at
-  // every lane width and thread count produce bit-identical statistics.
+  // count, so the compiled kernel at every lane width and thread count
+  // reproduces the interpreted 64-lane reference campaign exactly.
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
-  eval::CampaignOptions base_opts = campaign_options(12000);
-  base_opts.interpreted_kernel = true;
-  base_opts.threads = 1;
-  const eval::CampaignResult base = eval::run_fixed_vs_random(nl, base_opts);
-  EXPECT_EQ(base.lanes_used, 64u);
-
+  const auto reference =
+      testutil::reference_campaign(nl, campaign_options(12000));
   for (unsigned lanes : {64u, 256u, 512u}) {
     for (unsigned threads : {1u, 2u, 8u}) {
       eval::CampaignOptions opts = campaign_options(12000);
@@ -204,24 +195,18 @@ TEST(KernelCampaign, BitIdenticalAcrossKernelLanesAndThreads) {
       opts.threads = threads;
       const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
       EXPECT_EQ(r.lanes_used, lanes);
-      expect_identical(base, r,
-                       std::to_string(lanes) + " lanes / " +
-                           std::to_string(threads) + " threads");
+      expect_matches_reference(r, reference,
+                               std::to_string(lanes) + " lanes / " +
+                                   std::to_string(threads) + " threads");
     }
   }
 }
 
 TEST(KernelCampaign, ResumeAcrossLaneWidthsAndKernels) {
-  // Lane width and kernel choice are excluded from the snapshot fingerprint
-  // on purpose: a campaign interrupted at 512 compiled lanes must resume on
-  // the 64-lane interpreted oracle (or anything between) and still match
-  // the uninterrupted run bit for bit.
+  // Lane width is excluded from the snapshot fingerprint on purpose: a
+  // campaign interrupted at 512 lanes on 2 threads must resume at 64 lanes
+  // on 1 thread and still match the reference campaign bit for bit.
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
-  eval::CampaignOptions whole_opts = campaign_options(12000);
-  whole_opts.interpreted_kernel = true;
-  whole_opts.stages = 3;
-  const eval::CampaignResult whole = eval::run_fixed_vs_random(nl, whole_opts);
-
   const std::string path = testing::TempDir() + "sca_ckpt_kernel_lanes.bin";
   std::remove(path.c_str());
   eval::CampaignOptions partial_opts = campaign_options(12000);
@@ -235,15 +220,19 @@ TEST(KernelCampaign, ResumeAcrossLaneWidthsAndKernels) {
   EXPECT_TRUE(partial.interrupted);
 
   eval::CampaignOptions resume_opts = campaign_options(12000);
-  resume_opts.interpreted_kernel = true;
+  resume_opts.lanes = 64;
   resume_opts.stages = 3;
+  resume_opts.threads = 1;
   resume_opts.checkpoint_path = path;
   resume_opts.resume = true;
   const eval::CampaignResult resumed =
       eval::run_fixed_vs_random(nl, resume_opts);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_FALSE(resumed.interrupted);
-  expect_identical(whole, resumed, "resume 512-compiled -> 64-interpreted");
+  EXPECT_EQ(resumed.lanes_used, 64u);
+  expect_matches_reference(
+      resumed, testutil::reference_campaign(nl, campaign_options(12000)),
+      "resume 512 lanes -> 64 lanes");
   std::remove(path.c_str());
 }
 

@@ -430,7 +430,9 @@ TEST(Lint2, PrefilterRejectsSliceAndMatchesUnfilteredSweep) {
     const auto& lint_view = filtered.evaluations[i];
     const auto& sampled = unfiltered.evaluations[i];
     ASSERT_EQ(lint_view.index, sampled.index);
-    if (!sampled.secure) EXPECT_TRUE(lint_view.lint_rejected);
+    if (!sampled.secure) {
+      EXPECT_TRUE(lint_view.lint_rejected);
+    }
     if (!lint_view.lint_rejected) {
       EXPECT_EQ(lint_view.secure, sampled.secure);
       EXPECT_EQ(lint_view.severity, sampled.severity);

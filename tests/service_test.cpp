@@ -403,9 +403,9 @@ TEST(JsonLines, VerdictJsonIsInvariantUnderExecutionKnobs) {
   EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, threaded)),
             reference);
 
-  eval::CampaignOptions scalar = base;
-  scalar.accumulation = eval::Accumulation::kScalar;
-  EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, scalar)),
+  eval::CampaignOptions narrow = base;
+  narrow.lanes = 64;
+  EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, narrow)),
             reference);
 }
 

@@ -154,7 +154,9 @@ TEST(Simulator, PipelineLatencyMatchesRegisterDepth) {
     sent.push_back(v);
     simulator.set_input(in, v);
     simulator.settle();
-    if (cycle >= 3) EXPECT_EQ(simulator.value(s), sent[cycle - 3]);
+    if (cycle >= 3) {
+      EXPECT_EQ(simulator.value(s), sent[cycle - 3]);
+    }
     simulator.clock();
   }
 }
