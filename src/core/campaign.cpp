@@ -736,8 +736,9 @@ void check_snapshot(const CampaignSnapshot& snap, std::uint64_t fingerprint,
                                        ? batches[snap.batch_index].first
                                        : prepared.sets.size()),
           "campaign: checkpoint finished-set count mismatch");
-  if (snap.complete || snap.stages_done == 0) return;
-  const auto [bb, be] = batches[snap.batch_index];
+  // Only a mid-batch snapshot carries tables (its batch's, in order).
+  const bool mid_batch = !snap.complete && snap.stages_done > 0;
+  const auto [bb, be] = mid_batch ? batches[snap.batch_index] : BatchRange{};
   require(snap.sets.size() == be - bb,
           "campaign: checkpoint accumulator count mismatch");
   for (std::size_t i = 0; i < snap.sets.size(); ++i)

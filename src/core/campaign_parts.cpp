@@ -284,25 +284,28 @@ void produce_samples(sim::Simulator& simulator, const InputFeeder& feeder,
       std::memcpy(into.data() + i * limbs, simulator.value_limbs(rows[i]),
                   limbs * sizeof(std::uint64_t));
   };
-  std::vector<std::uint64_t> prev(transitions ? rows.size() * limbs : 0);
   // Samples are overwritten in place, so a reused buffer keeps its rows'
   // storage from one wide run to the next.
   out.resize(2 * feeder.samples_per_run);
   auto sample = out.begin();
   for (int group = 0; group < 2; ++group) {
     simulator.reset();
+    // A sample in the first cycle after the reset (no warmup) sees the
+    // all-zero reset state as its previous cycle.
+    std::size_t next = feeder.warmup_cycles + feeder.sample_interval - 1;
+    if (transitions && next == 0) sample->prev.assign(rows.size() * limbs, 0);
     for (std::size_t cycle = 0; cycle < feeder.cycles_per_group; ++cycle) {
       feeder.feed_cycle(simulator, prg, run, active, group, cycle);
       simulator.settle();
-      if (cycle >= feeder.warmup_cycles &&
-          (cycle + 1 - feeder.warmup_cycles) % feeder.sample_interval == 0) {
+      if (cycle == next) {
         sample->group = group;
         sample->active = active;
         snapshot(sample->now);
-        if (transitions) sample->prev = prev;
         ++sample;
+        next += feeder.sample_interval;
       }
-      if (transitions) snapshot(prev);
+      if (transitions && cycle + 1 == next && next < feeder.cycles_per_group)
+        snapshot(sample->prev);
       simulator.clock();
     }
   }

@@ -131,7 +131,8 @@ struct Sample {
 // Simulates one wide run — the 64-lane runs [run, run + active) — for both
 // groups on `simulator` and overwrites `out` with its 2 * samples_per_run
 // samples of `rows`, fixed group first. The previous-cycle rows are only
-// snapshotted under transitions.
+// snapshotted under transitions; a sample in a group's first cycle (no
+// warmup) sees the all-zero reset state there.
 void produce_samples(sim::Simulator& simulator, const InputFeeder& feeder,
                      const common::CounterPrg& prg, std::size_t run,
                      unsigned active, bool transitions,

@@ -55,13 +55,6 @@ Bus and_bus(Netlist& nl, const Bus& a, const Bus& b) {
   return out;
 }
 
-Bus not_bus(Netlist& nl, const Bus& a) {
-  Bus out;
-  out.reserve(a.size());
-  for (SignalId s : a) out.push_back(nl.not_(s));
-  return out;
-}
-
 Bus xor_const(Netlist& nl, const Bus& a, std::uint64_t constant) {
   Bus out;
   out.reserve(a.size());

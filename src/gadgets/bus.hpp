@@ -36,9 +36,6 @@ Bus xor_bus(netlist::Netlist& nl, const Bus& a, const Bus& b);
 /// Bitwise AND of two equal-width buses.
 Bus and_bus(netlist::Netlist& nl, const Bus& a, const Bus& b);
 
-/// Bitwise NOT.
-Bus not_bus(netlist::Netlist& nl, const Bus& a);
-
 /// XOR of the bus with a compile-time constant: bits where the constant is 1
 /// become inverters, other bits pass through unchanged.
 Bus xor_const(netlist::Netlist& nl, const Bus& a, std::uint64_t constant);

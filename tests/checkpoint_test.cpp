@@ -328,6 +328,23 @@ TEST(Checkpoint, CorruptedSnapshotsAreRejected) {
         << e.what();
   }
 
+  // Well-formed, matching snapshot whose stage cursor says no stage of the
+  // batch ran, yet which carries tables: a resume would allocate the batch's
+  // tables on top of them.
+  write_file(good);
+  CampaignSnapshot stage0 = load_checkpoint(opts.checkpoint_path);
+  ASSERT_FALSE(stage0.sets.empty());
+  stage0.stages_done = 0;
+  save_checkpoint(opts.checkpoint_path, stage0);
+  try {
+    run_fixed_vs_random(nl, resume);
+    ADD_FAILURE() << "stage-0 snapshot with tables was accepted";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("accumulator count mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+
   // Valid snapshot, wrong campaign (different seed -> fingerprint).
   write_file(good);
   CampaignOptions wrong = resume;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/rng.hpp"
 #include "src/core/campaign.hpp"
+#include "src/core/campaign_parts.hpp"
 #include "src/core/probes.hpp"
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
@@ -13,6 +17,7 @@
 #include "src/gadgets/kronecker.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/ir.hpp"
+#include "src/sim/simulator.hpp"
 #include "tests/reference_campaign.hpp"
 
 namespace sca::eval {
@@ -377,6 +382,32 @@ TEST(Campaign, TransitionSampleWithoutWarmupSeesTheResetState) {
     EXPECT_TRUE(problems.empty())
         << lanes << " lanes / " << threads << " threads\n"
         << testutil::joined(problems);
+  }
+}
+
+TEST(Campaign, ProducerStartsBothGroupsFromTheResetState) {
+  // Without warmup each group's first transition sample sees the all-zero
+  // reset state as its previous cycle, never the fixed group's last rows
+  // or an earlier run's rows in the reused buffer; later samples see the
+  // cycle before.
+  Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
+  CampaignOptions opts = kron_options(ProbeModel::kGlitchTransition, 64);
+  opts.warmup_cycles = 0;
+  opts.sample_interval = 1;
+  opts.samples_per_run = 3;
+  const auto rows = detail::prepare_probe_sets(nl, opts).stable_points;
+  const detail::InputFeeder feeder(nl, opts);
+  sim::Simulator simulator(nl);
+  const std::vector<std::uint64_t> reset(rows.size(), 0);
+  std::vector<detail::Sample> s;
+  for (std::size_t run = 0; run < 2; ++run) {
+    detail::produce_samples(simulator, feeder, common::CounterPrg(opts.seed),
+                            run, /*active=*/1, /*transitions=*/true, rows, s);
+    ASSERT_EQ(s.size(), 6u);
+    EXPECT_NE(s[2].now, reset);  // so a carried-over row would show
+    for (std::size_t k = 0; k < 6; ++k)
+      EXPECT_EQ(s[k].prev, k % 3 == 0 ? reset : s[k - 1].now)
+          << "run " << run << " sample " << k;
   }
 }
 
