@@ -501,8 +501,11 @@ std::vector<BatchRange> plan_batches(const std::vector<PreparedSet>& sets,
 // seed, budget, chunk/stage/batch grids, sampling parameters, and the
 // prepared probe sets. Thread count and lane width are deliberately
 // excluded (the statistics are bit-identical across both by contract, so
-// resuming across them is sound); the batch grid covers the one way
-// threads could matter, since the memory budget splits per worker. The
+// resuming across them is sound); the sample-major batch grid covers the
+// one way threads could matter, since the memory budget splits per worker.
+// A set-major campaign feeds a driver tag instead: it has no batch grid,
+// its snapshots hold no tables, and its driver choice ignores the thread
+// count, so its snapshots resume at any thread count. The
 // accumulation plan (hosting, sharding, CSE structure) is excluded too: it
 // is a pure function of the prepared sets and the options, snapshots carry
 // fully materialized per-set tables, and hosted masters recompute their
@@ -512,6 +515,7 @@ std::uint64_t campaign_fingerprint(const CampaignOptions& options,
                                    const detail::InputFeeder& feeder,
                                    const ChunkGrid& grid,
                                    const std::vector<BatchRange>& batches,
+                                   bool set_major,
                                    const std::vector<PreparedSet>& sets) {
   common::Fnv1a fp;
   fp.feed(options.seed)
@@ -528,8 +532,13 @@ std::uint64_t campaign_fingerprint(const CampaignOptions& options,
       .feed(options.threshold);
   for (std::size_t b : grid.stage_bounds)
     fp.feed(static_cast<std::uint64_t>(b));
-  for (const auto& [bb, be] : batches)
-    fp.feed(static_cast<std::uint64_t>(bb)).feed(static_cast<std::uint64_t>(be));
+  if (set_major) {
+    fp.feed(std::string("set-major"));
+  } else {
+    for (const auto& [bb, be] : batches)
+      fp.feed(static_cast<std::uint64_t>(bb))
+          .feed(static_cast<std::uint64_t>(be));
+  }
   for (const PreparedSet& p : sets)
     fp.feed(p.name).feed(static_cast<std::uint64_t>(p.observation_bits));
   return fp.value();
@@ -687,19 +696,25 @@ double severity_of(const stats::FlatCountTable& table, bool ttest) {
                : table.g_test().minus_log10_p;
 }
 
+// A finalized set's result shell: the prepared set's identity, moved out
+// (each set is finalized exactly once), with no statistic yet.
+ProbeSetResult take_result(PreparedSet& p) {
+  ProbeSetResult r;
+  r.name = std::move(p.name);
+  r.representatives = std::move(p.representatives);
+  r.observation_bits = p.observation_bits;
+  r.compacted = p.compacted;
+  r.aliases = std::move(p.aliases);
+  return r;
+}
+
 // Finalizes a batch's sets from their master tables — under early
 // stopping, from their partial counts — and releases the tables.
 void finalize_batch(detail::PreparedSets& prepared, const Batch& batch,
                     bool ttest, double threshold, CampaignSnapshot& state,
                     Verdict& finished) {
   for (std::size_t l = 0; l < state.sets.size(); ++l) {
-    PreparedSet& p = prepared.sets[batch.range.first + l];
-    ProbeSetResult r;
-    r.name = std::move(p.name);
-    r.representatives = std::move(p.representatives);
-    r.observation_bits = p.observation_bits;
-    r.compacted = p.compacted;
-    r.aliases = std::move(p.aliases);
+    ProbeSetResult r = take_result(prepared.sets[batch.range.first + l]);
     if (ttest) {
       r.t = detail::hw_t_test(state.sets[l]);
       r.severity = std::abs(r.t.t);
@@ -720,7 +735,7 @@ void check_snapshot(const CampaignSnapshot& snap, std::uint64_t fingerprint,
                     const ChunkGrid& grid,
                     const std::vector<BatchRange>& batches,
                     const detail::PreparedSets& prepared, bool transitions,
-                    bool ttest) {
+                    bool ttest, bool set_major) {
   require(snap.fingerprint == fingerprint,
           "campaign: checkpoint does not match this campaign "
           "configuration (different netlist, seed, budget, or schedule)");
@@ -736,8 +751,9 @@ void check_snapshot(const CampaignSnapshot& snap, std::uint64_t fingerprint,
                                        ? batches[snap.batch_index].first
                                        : prepared.sets.size()),
           "campaign: checkpoint finished-set count mismatch");
-  // Only a mid-batch snapshot carries tables (its batch's, in order).
-  const bool mid_batch = !snap.complete && snap.stages_done > 0;
+  // Only a sample-major mid-batch snapshot carries tables (its batch's, in
+  // order); a set-major one re-simulates its prefix instead.
+  const bool mid_batch = !set_major && !snap.complete && snap.stages_done > 0;
   const auto [bb, be] = mid_batch ? batches[snap.batch_index] : BatchRange{};
   require(snap.sets.size() == be - bb,
           "campaign: checkpoint accumulator count mismatch");
@@ -780,6 +796,608 @@ StageReport stage_report(const ChunkGrid& grid, std::size_t stage,
   return rep;
 }
 
+// --- the two drivers ------------------------------------------------------------
+
+// What both drivers share: the campaign's read-only setup, its
+// checkpointable state, and this process's progress.
+struct Driver {
+  Driver(const CampaignOptions& options_in, const StageContext& cx_in,
+         detail::PreparedSets& prepared_in,
+         const std::vector<BatchRange>& batches_in, bool ttest_in,
+         double threshold_in)
+      : options(options_in),
+        cx(cx_in),
+        prepared(prepared_in),
+        batches(batches_in),
+        ttest(ttest_in),
+        threshold(threshold_in) {}
+
+  const CampaignOptions& options;
+  const StageContext& cx;
+  detail::PreparedSets& prepared;
+  const std::vector<BatchRange>& batches;
+  const bool ttest;
+  const double threshold;
+
+  // The (batch, stage) cursor, the running totals, the finalized results,
+  // and the in-progress batch's master tables; resume continues from a
+  // matching snapshot's state.
+  CampaignSnapshot state;
+  Verdict finished;  // over state.finished
+  SubPhaseSeconds sub;
+  std::size_t stages_completed = 0;
+  unsigned stages_run_here = 0;
+  bool interrupted = false;
+  std::size_t hosted_total = 0;
+  std::size_t max_set_shards = 1;
+
+  // Interim statistics cost a statistic per set per stage; skip them when
+  // nobody observes them (no stage callback, no early stopping).
+  bool want_interim() const {
+    return options.early_stop_stages > 0 || bool(options.on_stage);
+  }
+
+  // Counts a stage whose worst severity so far is `so_far` toward the
+  // early-stop streak.
+  void track_early_stop(const Verdict& so_far) {
+    if (options.early_stop_stages == 0) return;
+    const bool over = so_far.max > threshold + options.early_stop_margin;
+    state.streak = over ? state.streak + 1 : 0;
+    if (state.streak >= options.early_stop_stages) state.early_stopped = true;
+  }
+
+  void checkpoint() const {
+    if (!options.checkpoint_path.empty())
+      save_checkpoint(options.checkpoint_path, state);
+  }
+
+  // The stop_after_stage testing hook fired (a simulated kill).
+  bool stop_requested() const {
+    return options.stop_after_stage &&
+           stages_run_here >= options.stop_after_stage;
+  }
+
+  void emit(std::size_t batch, std::size_t stage, const Verdict& verdict,
+            double stage_secs) const {
+    if (!options.on_stage) return;
+    StageReport rep =
+        stage_report(cx.grid, stage, verdict, stage_secs, state, sub);
+    rep.batch = batch + 1;
+    rep.batches_total = batches.size();
+    rep.aliased_probe_sets = prepared.aliases;
+    if (!options.checkpoint_path.empty())
+      rep.checkpoint_path = options.checkpoint_path;
+    options.on_stage(rep);
+  }
+};
+
+// The sample-major driver: per table batch, one simulation pass per stage
+// accumulating the batch's live sets under its compiled plan.
+void drive_sample_major(Driver& d, unsigned shard_target) {
+  const ChunkGrid& grid = d.cx.grid;
+  CampaignSnapshot& state = d.state;
+  while (state.batch_index < d.batches.size() && !state.complete &&
+         !d.interrupted && !state.early_stopped) {
+    const std::size_t b = state.batch_index;
+    const BatchRange range = d.batches[b];
+    const Batch batch = compile_batch(d.prepared, range, d.cx.transitions,
+                                      d.ttest, shard_target);
+    d.hosted_total += batch.plan.hosted_sets;
+    d.max_set_shards = std::max(d.max_set_shards, batch.plan.shards.size());
+    // A batch's master tables exist only while it runs; a snapshot taken
+    // mid-batch has restored them already.
+    if (state.stages_done == 0)
+      for (std::size_t si = range.first; si < range.second; ++si)
+        state.sets.emplace_back(detail::table_key_bits(
+            d.prepared.sets[si], d.cx.transitions, d.ttest));
+
+    double stage_secs = 0.0;
+    while (true) {
+      const std::size_t s = state.stages_done;
+      const auto stage_start = Clock::now();
+      run_stage(d.cx, batch, grid.stage_bounds[s], grid.stage_bounds[s + 1],
+                state, d.sub);
+      materialize_hosted(batch, state);
+      stage_secs = seconds_between(stage_start, Clock::now());
+      ++state.stages_done;
+      ++d.stages_completed;
+      ++d.stages_run_here;
+
+      // Interim verdict-so-far over the batch's master tables, on top of
+      // the finalized-batch baseline.
+      Verdict so_far = d.finished;
+      if (d.want_interim()) {
+        for (std::size_t l = 0; l < state.sets.size(); ++l)
+          so_far.add(d.prepared.sets[range.first + l].name,
+                     severity_of(state.sets[l], d.ttest), d.threshold);
+        d.track_early_stop(so_far);
+      }
+      // Batch (or campaign) done: finalize below, then snapshot/report
+      // with exact statistics.
+      if (state.stages_done == grid.stages() || state.early_stopped) break;
+      d.checkpoint();
+      d.emit(b, state.stages_done, so_far, stage_secs);
+      if (d.stop_requested()) {
+        // Simulated kill: leave the snapshot on disk, return a partial
+        // result flagged `interrupted`.
+        d.interrupted = true;
+        break;
+      }
+    }
+    if (d.interrupted) break;
+
+    finalize_batch(d.prepared, batch, d.ttest, d.threshold, state,
+                   d.finished);
+    const std::size_t final_stage = state.stages_done;
+    state.batch_index = b + 1;
+    state.stages_done = 0;
+    state.complete = state.early_stopped || b + 1 == d.batches.size();
+    d.checkpoint();
+    d.emit(b, final_stage, d.finished, stage_secs);
+    if (!state.complete && d.stop_requested()) d.interrupted = true;
+  }
+}
+
+// --- set-major driver -----------------------------------------------------------
+//
+// Set-heavy, sample-light campaigns (order 2 over a whole gadget: tens of
+// thousands of sets, tens of thousands of samples) spend the sample-major
+// driver's time on per-set direct tables rather than on simulation: every
+// table batch re-simulates, allocates, merges and finalizes up to 1 MiB
+// per set. The set-major driver turns the loops around. It simulates each
+// stage's runs once into a resident packed trace, then runs one
+// parallel_for over the plan's host groups: a work item counts its root
+// set's keys from the trace into a reusable per-worker direct table,
+// finalizes the root and every set it hosts (an exact integer marginal of
+// the root's counts) over their observed keys in ascending order, and
+// leaves the table zeroed for the next item. The counts are the
+// sample-major driver's, so every statistic is bit-identical to it.
+
+// The packed observation trace: per group, one sample per (64-lane run,
+// sample point, lane) in run order, `words` words each. Bit c of a sample
+// is plan row c at the sample cycle and, under transitions, bit rows + c
+// is the same row a cycle before. A stage is a prefix of every group's
+// samples.
+struct Trace {
+  std::size_t rows = 0;
+  std::size_t words = 0;
+  std::size_t per_group = 0;  // samples per group over the whole budget
+  std::vector<std::uint64_t> bits;
+
+  const std::uint64_t* group(int g) const {
+    return bits.data() + static_cast<std::size_t>(g) * per_group * words;
+  }
+};
+
+std::size_t trace_words(std::size_t rows, bool transitions) {
+  return common::ceil_div(rows * (transitions ? 2 : 1), 64);
+}
+
+// The stable points some set observes: the trace's rows, and the rows of a
+// plan compiled over all sets.
+std::size_t observed_points(const detail::PreparedSets& prepared) {
+  std::vector<bool> seen(prepared.stable_points.size());
+  std::size_t points = 0;
+  for (const PreparedSet& p : prepared.sets)
+    for (std::size_t d : p.dense)
+      if (!seen[d]) {
+        seen[d] = true;
+        ++points;
+      }
+  return points;
+}
+
+// The driver rule, a pure function of the workload and the budget (never
+// of threads or lanes): set-major iff the sample-major driver would need
+// more than one table batch even with the whole budget, so it would
+// re-simulate at any thread count, and the packed trace fits the budget.
+bool choose_set_major(const detail::PreparedSets& prepared,
+                      std::size_t samples_total, bool transitions,
+                      std::size_t budget) {
+  if (plan_batches(prepared.sets, samples_total, budget).size() <= 1)
+    return false;
+  return samples_total *
+             trace_words(observed_points(prepared), transitions) *
+             sizeof(std::uint64_t) <=
+         budget;
+}
+
+struct TraceWorker {
+  explicit TraceWorker(const sim::Schedule& schedule) : simulator(schedule) {}
+  sim::Simulator simulator;
+  std::vector<Sample> samples;
+  double seconds = 0.0;
+};
+
+// Simulates the chunks [chunk_begin, chunk_end) into the trace, one chunk
+// per work item: each wide run's samples are transposed 64 rows at a time
+// into per-lane trace words.
+void fill_trace(const StageContext& cx, const std::vector<SignalId>& signals,
+                std::size_t chunk_begin, std::size_t chunk_end, Trace& trace,
+                CampaignSnapshot& state) {
+  const std::size_t spr = cx.feeder.samples_per_run;
+  const std::size_t codes = trace.rows * (cx.transitions ? 2 : 1);
+  std::mutex mutex;
+  common::parallel_for_stateful(
+      chunk_end - chunk_begin, cx.threads,
+      [&] { return TraceWorker(cx.schedule); },
+      [&](TraceWorker& w, std::size_t item) {
+        const auto start = Clock::now();
+        const std::size_t chunk = chunk_begin + item;
+        const common::CounterPrg prg(cx.options.seed);
+        const unsigned limbs = w.simulator.limbs();
+        const std::size_t run_end = cx.grid.runs_before(chunk + 1);
+        std::uint64_t block[64];
+        for (std::size_t run = cx.grid.runs_before(chunk); run < run_end;
+             run += limbs) {
+          const unsigned active = static_cast<unsigned>(
+              std::min<std::size_t>(limbs, run_end - run));
+          detail::produce_samples(w.simulator, cx.feeder, prg, run, active,
+                                  cx.transitions, signals, w.samples);
+          for (std::size_t k = 0; k < w.samples.size(); ++k) {
+            const Sample& s = w.samples[k];
+            const std::size_t point = k % spr;  // fixed group first
+            for (unsigned b = 0; b < active; ++b) {
+              std::uint64_t* const dst =
+                  trace.bits.data() +
+                  (static_cast<std::size_t>(s.group) * trace.per_group +
+                   ((run + b) * spr + point) * 64) *
+                      trace.words;
+              for (std::size_t word = 0; word < trace.words; ++word) {
+                for (std::size_t i = 0; i < 64; ++i) {
+                  const std::size_t code = word * 64 + i;
+                  block[i] = code < trace.rows ? s.now[code * limbs + b]
+                             : code < codes
+                                 ? s.prev[(code - trace.rows) * limbs + b]
+                                 : 0;
+                }
+                common::transpose64(block);
+                for (std::size_t lane = 0; lane < 64; ++lane)
+                  dst[lane * trace.words + word] = block[lane];
+              }
+            }
+          }
+        }
+        w.seconds += seconds_between(start, Clock::now());
+      },
+      [&](TraceWorker& w) {
+        std::lock_guard<std::mutex> lock(mutex);
+        state.simulate_seconds += w.seconds;
+      });
+  const std::size_t runs =
+      cx.grid.runs_before(chunk_end) - cx.grid.runs_before(chunk_begin);
+  state.total_cycles += runs * 2 * cx.feeder.cycles_per_group;
+  state.simulations_done += runs * cx.grid.observations_per_run;
+}
+
+// One trace word's share of a compacted or t-test root's weights.
+struct WeightMasks {
+  std::uint32_t word = 0;
+  std::uint64_t now = 0;
+  std::uint64_t prev = 0;
+};
+
+// A host group: a root set counted from the trace, and the sets finalized
+// as marginals of the root's counts.
+struct HostGroup {
+  std::uint32_t root = 0;
+  accplan::AccRegime regime = accplan::AccRegime::kNarrow;
+  unsigned key_bits = 0;
+  std::vector<accplan::PackedGather> gathers;  // exact roots: pext recipe
+  std::vector<WeightMasks> weights;            // compacted / t-test roots
+  unsigned hw_shift = 0;                       // compacted roots
+  std::vector<std::uint32_t> hosted;
+  std::vector<std::uint64_t> hosted_masks;  // key bits inside the root key
+};
+
+// The bits of `base` at the ranks (among base's set bits) selected by
+// `ranks` — a parallel bit deposit, composing host masks along a chain.
+std::uint64_t deposit_ranks(std::uint64_t ranks, std::uint64_t base) {
+  std::uint64_t out = 0;
+  for (unsigned r = 0; base != 0; base &= base - 1, ++r)
+    if ((ranks >> r) & 1u) out |= base & (~base + 1);
+  return out;
+}
+
+// Groups the plan's sets under their live roots. A hosted set's key mask
+// is composed down its host chain, so every set marginalizes straight
+// from its root's counts.
+std::vector<HostGroup> host_groups(const accplan::AccumulationPlan& plan,
+                                   const detail::PreparedSets& prepared,
+                                   const Trace& trace, bool transitions,
+                                   bool ttest) {
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<HostGroup> groups;
+  std::vector<std::uint32_t> group_of(plan.sets.size(), kNone);
+  for (std::uint32_t i = 0; i < plan.sets.size(); ++i) {
+    const accplan::SetAccPlan& sp = plan.sets[i];
+    if (sp.regime == accplan::AccRegime::kHosted) continue;
+    HostGroup g;
+    g.root = i;
+    g.regime = sp.regime;
+    g.key_bits = detail::table_key_bits(prepared.sets[i], transitions, ttest);
+    // Key codes in key-bit order: now rows ascending, then prev rows.
+    std::vector<std::size_t> codes(sp.rows.begin(), sp.rows.end());
+    if (transitions)
+      for (std::uint32_t r : sp.rows) codes.push_back(trace.rows + r);
+    if (sp.regime == accplan::AccRegime::kNarrow ||
+        sp.regime == accplan::AccRegime::kPacked) {
+      std::uint8_t key_bit = 0;
+      for (std::size_t code : codes) {
+        const auto word = static_cast<std::uint32_t>(code / 64);
+        const std::uint64_t bit = std::uint64_t{1} << (code % 64);
+        if (!g.gathers.empty() && g.gathers.back().block == word)
+          g.gathers.back().mask |= bit;
+        else
+          g.gathers.push_back({word, bit, key_bit});
+        ++key_bit;
+      }
+    } else {
+      g.hw_shift = detail::hp_bits(sp.rows.size(), transitions);
+      for (std::size_t k = 0; k < codes.size(); ++k) {
+        const auto word = static_cast<std::uint32_t>(codes[k] / 64);
+        const std::uint64_t bit = std::uint64_t{1} << (codes[k] % 64);
+        auto it = std::find_if(g.weights.begin(), g.weights.end(),
+                               [&](const WeightMasks& m) {
+                                 return m.word == word;
+                               });
+        if (it == g.weights.end())
+          it = g.weights.insert(g.weights.end(), WeightMasks{word, 0, 0});
+        (k < sp.rows.size() ? it->now : it->prev) |= bit;
+      }
+    }
+    group_of[i] = static_cast<std::uint32_t>(groups.size());
+    groups.push_back(std::move(g));
+  }
+  // finalize_order lists hosts before their dependents.
+  std::vector<std::uint64_t> mask_in_root(plan.sets.size(), 0);
+  for (std::uint32_t i : plan.finalize_order) {
+    const accplan::SetAccPlan& sp = plan.sets[i];
+    mask_in_root[i] =
+        plan.sets[sp.host].regime == accplan::AccRegime::kHosted
+            ? deposit_ranks(sp.host_mask, mask_in_root[sp.host])
+            : sp.host_mask;
+    group_of[i] = group_of[sp.host];
+    HostGroup& g = groups[group_of[i]];
+    g.hosted.push_back(i);
+    g.hosted_masks.push_back(mask_in_root[i]);
+  }
+  // Widest roots first, so the long work items start early.
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const HostGroup& a, const HostGroup& b) {
+                     return a.key_bits > b.key_bits;
+                   });
+  return groups;
+}
+
+// One set's statistic from a set-major pass.
+struct SetStat {
+  stats::GTestResult g;
+  stats::TTestResult t;
+  double severity = 0.0;
+};
+
+struct GroupWorker {
+  explicit GroupWorker(unsigned max_key_bits)
+      : root(std::size_t{2} << max_key_bits, 0),
+        hosted(std::size_t{2} << max_key_bits, 0) {}
+  // Direct count tables, entry 2 * key + group; all zero between items.
+  std::vector<std::uint64_t> root;
+  std::vector<std::uint64_t> hosted;
+  std::vector<std::uint64_t> keys;  // the root's observed keys, ascending
+  std::vector<std::array<std::uint64_t, 2>> cols;  // their counts
+  std::vector<std::array<std::uint64_t, 2>> hosted_cols;
+  double seconds = 0.0;
+  double count_seconds = 0.0;
+};
+
+// Counts key(sample) over the first `samples` samples of both groups.
+template <typename KeyFn>
+void count_keys(const Trace& trace, std::size_t samples, std::uint64_t* counts,
+                KeyFn key) {
+  for (int g = 0; g < 2; ++g) {
+    const std::uint64_t* s = trace.group(g);
+    for (std::size_t i = 0; i < samples; ++i, s += trace.words)
+      ++counts[2 * key(s) + static_cast<std::size_t>(g)];
+  }
+}
+
+// Moves the observed keys of a `key_bits` table into `cols` in ascending
+// key order (and, if `keys` is given, the keys themselves), zeroing the
+// table behind them.
+void drain_table(std::uint64_t* counts, unsigned key_bits,
+                 std::vector<std::array<std::uint64_t, 2>>& cols,
+                 std::vector<std::uint64_t>* keys) {
+  cols.clear();
+  if (keys) keys->clear();
+  const std::size_t space = std::size_t{1} << key_bits;
+  for (std::size_t k = 0; k < space; ++k) {
+    const std::uint64_t c0 = counts[2 * k];
+    const std::uint64_t c1 = counts[2 * k + 1];
+    if ((c0 | c1) == 0) continue;
+    cols.push_back({c0, c1});
+    if (keys) keys->push_back(k);
+    counts[2 * k] = 0;
+    counts[2 * k + 1] = 0;
+  }
+}
+
+SetStat finalize_columns(const std::vector<std::array<std::uint64_t, 2>>& cols,
+                         const std::vector<std::uint64_t>& keys,
+                         unsigned key_bits, bool ttest) {
+  SetStat st;
+  if (ttest) {
+    stats::FlatCountTable table(key_bits);
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      table.add(keys[j], 0, cols[j][0]);
+      table.add(keys[j], 1, cols[j][1]);
+    }
+    st.t = detail::hw_t_test(table);
+    st.severity = std::abs(st.t.t);
+  } else {
+    st.g = stats::g_test_columns(cols);
+    st.severity = st.g.minus_log10_p;
+  }
+  return st;
+}
+
+// One work item: counts the group's root over the first `samples` samples
+// of each group, then finalizes the root and its hosted sets.
+void evaluate_group(const HostGroup& g, const Trace& trace, std::size_t samples,
+                    bool ttest, GroupWorker& w, std::vector<SetStat>& out) {
+  const auto t0 = Clock::now();
+  std::uint64_t* const counts = w.root.data();
+  if (!g.gathers.empty()) {
+    count_keys(trace, samples, counts, [&](const std::uint64_t* s) {
+      std::uint64_t key = 0;
+      for (const accplan::PackedGather& ga : g.gathers)
+        key |= common::extract_bits64(s[ga.block], ga.mask) << ga.shift;
+      return key;
+    });
+  } else {
+    const auto weights = [&](const std::uint64_t* s, unsigned& hn,
+                             unsigned& hp) {
+      hn = hp = 0;
+      for (const WeightMasks& m : g.weights) {
+        hn += static_cast<unsigned>(common::popcount64(s[m.word] & m.now));
+        hp += static_cast<unsigned>(common::popcount64(s[m.word] & m.prev));
+      }
+    };
+    if (ttest) {
+      count_keys(trace, samples, counts, [&](const std::uint64_t* s) {
+        unsigned hn, hp;
+        weights(s, hn, hp);
+        return std::uint64_t{hn + hp};
+      });
+    } else {
+      count_keys(trace, samples, counts, [&](const std::uint64_t* s) {
+        unsigned hn, hp;
+        weights(s, hn, hp);
+        return (std::uint64_t{hn} << g.hw_shift) | hp;
+      });
+    }
+  }
+  const auto t1 = Clock::now();
+  drain_table(counts, g.key_bits, w.cols, &w.keys);
+  out[g.root] = finalize_columns(w.cols, w.keys, g.key_bits, ttest);
+  for (std::size_t h = 0; h < g.hosted.size(); ++h) {
+    const std::uint64_t mask = g.hosted_masks[h];
+    for (std::size_t j = 0; j < w.keys.size(); ++j) {
+      const std::size_t key =
+          static_cast<std::size_t>(common::extract_bits64(w.keys[j], mask));
+      w.hosted[2 * key] += w.cols[j][0];
+      w.hosted[2 * key + 1] += w.cols[j][1];
+    }
+    drain_table(w.hosted.data(),
+                static_cast<unsigned>(common::popcount64(mask)), w.hosted_cols,
+                nullptr);
+    out[g.hosted[h]] = finalize_columns(w.hosted_cols, {}, 0, false);
+  }
+  w.count_seconds += seconds_between(t0, t1);
+  w.seconds += seconds_between(t0, Clock::now());
+}
+
+// Evaluates every set over the first `samples` samples of each group.
+void evaluate_groups(const StageContext& cx,
+                     const std::vector<HostGroup>& groups, const Trace& trace,
+                     std::size_t samples, bool ttest, unsigned max_key_bits,
+                     std::vector<SetStat>& out, CampaignSnapshot& state,
+                     SubPhaseSeconds& sub) {
+  std::mutex mutex;
+  common::parallel_for_stateful(
+      groups.size(), cx.threads, [&] { return GroupWorker(max_key_bits); },
+      [&](GroupWorker& w, std::size_t i) {
+        evaluate_group(groups[i], trace, samples, ttest, w, out);
+      },
+      [&](GroupWorker& w) {
+        std::lock_guard<std::mutex> lock(mutex);
+        state.accumulate_seconds += w.seconds;
+        sub.histogram += w.count_seconds;
+      });
+}
+
+// The set-major driver. Its snapshots carry the cursor and the totals but
+// no tables: a resumed run re-simulates the snapshot's prefix, which the
+// counter PRG makes bit-identical, and recounts from the trace.
+void drive_set_major(Driver& d) {
+  CampaignSnapshot& state = d.state;
+  if (state.complete) return;
+  const StageContext& cx = d.cx;
+  const ChunkGrid& grid = cx.grid;
+  const std::size_t n = d.prepared.sets.size();
+  std::vector<accplan::PlanSetInput> inputs;
+  inputs.reserve(n);
+  for (const PreparedSet& p : d.prepared.sets)
+    inputs.push_back({&p.dense, p.observation_bits, p.compacted});
+  const accplan::AccumulationPlan plan = accplan::compile_accumulation_plan(
+      inputs, accplan::PlanOptions{cx.transitions, d.ttest, 1});
+  d.hosted_total = plan.hosted_sets;
+
+  Trace trace;
+  trace.rows = plan.rows.size();
+  trace.words = trace_words(trace.rows, cx.transitions);
+  trace.per_group = grid.runs_per_group * grid.observations_per_run;
+  trace.bits.assign(2 * trace.per_group * trace.words, 0);
+  std::vector<SignalId> signals;
+  signals.reserve(plan.rows.size());
+  for (std::size_t r : plan.rows)
+    signals.push_back(d.prepared.stable_points[r]);
+  const std::vector<HostGroup> groups =
+      host_groups(plan, d.prepared, trace, cx.transitions, d.ttest);
+  const unsigned max_key_bits = groups.empty() ? 0 : groups.front().key_bits;
+  std::vector<SetStat> stats(n);
+
+  if (state.stages_done > 0)
+    fill_trace(cx, signals, 0, grid.stage_bounds[state.stages_done], trace,
+               state);
+  while (!d.interrupted) {
+    const std::size_t s = state.stages_done;
+    const auto stage_start = Clock::now();
+    fill_trace(cx, signals, grid.stage_bounds[s], grid.stage_bounds[s + 1],
+               trace, state);
+    ++state.stages_done;
+    ++d.stages_completed;
+    ++d.stages_run_here;
+    const bool last = state.stages_done == grid.stages();
+
+    // Every stage recounts every group over the samples so far, so interim
+    // statistics, early stopping and the final verdict see the same counts
+    // the sample-major driver would.
+    Verdict so_far = d.finished;
+    if (last || d.want_interim()) {
+      evaluate_groups(cx, groups, trace,
+                      grid.runs_before(grid.stage_bounds[state.stages_done]) *
+                          grid.observations_per_run,
+                      d.ttest, max_key_bits, stats, state, d.sub);
+      for (std::size_t i = 0; i < n; ++i)
+        so_far.add(d.prepared.sets[i].name, stats[i].severity, d.threshold);
+      d.track_early_stop(so_far);
+    }
+    const double stage_secs = seconds_between(stage_start, Clock::now());
+    if (last || state.early_stopped) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ProbeSetResult r = take_result(d.prepared.sets[i]);
+        r.g = stats[i].g;
+        r.t = stats[i].t;
+        r.severity = stats[i].severity;
+        r.minus_log10_p = r.severity;
+        state.finished.push_back(std::move(r));
+      }
+      d.finished = so_far;
+      const std::size_t final_stage = state.stages_done;
+      state.batch_index = 1;
+      state.stages_done = 0;
+      state.complete = true;
+      d.checkpoint();
+      d.emit(0, final_stage, d.finished, stage_secs);
+      return;
+    }
+    d.checkpoint();
+    d.emit(0, state.stages_done, so_far, stage_secs);
+    if (d.stop_requested()) d.interrupted = true;
+  }
+}
+
 }  // namespace
 
 std::vector<const ProbeSetResult*> CampaignResult::top(std::size_t n) const {
@@ -815,6 +1433,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   const sim::Schedule schedule(nl, schedule_options);
   const unsigned threads = common::resolve_threads(options.threads);
   const ChunkGrid grid = make_chunk_grid(options, feeder.samples_per_run);
+  const std::size_t samples_total =
+      2 * grid.runs_per_group * grid.observations_per_run;
+  const bool set_major = choose_set_major(
+      prepared, samples_total, transitions, options.table_memory_budget);
 
   // Probe-set shards for the 2-D (chunk x shard) schedule: when the chunk
   // grid alone cannot feed every thread (tiny campaigns), the live sets
@@ -827,127 +1449,42 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
           ? static_cast<unsigned>(
                 common::ceil_div(std::size_t{threads}, grid.num_chunks))
           : 1;
-  // Each worker holds its own tables next to the masters, so the per-batch
-  // share of the table budget shrinks with the thread count.
-  const std::vector<BatchRange> batches = plan_batches(
-      prepared.sets, 2 * grid.runs_per_group * grid.observations_per_run,
-      std::max<std::size_t>(
-          options.table_memory_budget / (std::size_t{threads} + 1),
-          kBytesPerBin));
-  const std::uint64_t fingerprint =
-      campaign_fingerprint(options, feeder, grid, batches, prepared.sets);
+  // Each sample-major worker holds its own tables next to the masters, so
+  // the per-batch share of the table budget shrinks with the thread count.
+  // A set-major campaign is one batch of every set.
+  const std::vector<BatchRange> batches =
+      set_major
+          ? std::vector<BatchRange>{{0, prepared.sets.size()}}
+          : plan_batches(prepared.sets, samples_total,
+                         std::max<std::size_t>(options.table_memory_budget /
+                                                   (std::size_t{threads} + 1),
+                                               kBytesPerBin));
+  const std::uint64_t fingerprint = campaign_fingerprint(
+      options, feeder, grid, batches, set_major, prepared.sets);
 
-  // The campaign's checkpointable state: the (batch, stage) cursor, the
-  // running totals, the finalized results, and the in-progress batch's
-  // master tables. Resume continues from a matching snapshot's state.
-  CampaignSnapshot state;
+  const StageContext cx{options, feeder, schedule, grid, threads, transitions};
+  Driver d(options, cx, prepared, batches, ttest, threshold);
+  CampaignSnapshot& state = d.state;
   bool resumed = false;
   if (options.resume && !options.checkpoint_path.empty() &&
       std::ifstream(options.checkpoint_path, std::ios::binary).good()) {
     state = load_checkpoint(options.checkpoint_path);
     check_snapshot(state, fingerprint, grid, batches, prepared, transitions,
-                   ttest);
+                   ttest, set_major);
     resumed = true;
   }
   state.fingerprint = fingerprint;
   state.num_chunks = grid.num_chunks;
   state.batches_total = batches.size();
-  Verdict finished;  // over state.finished
   for (const ProbeSetResult& r : state.finished)
-    finished.add(r.name, r.severity, threshold);
+    d.finished.add(r.name, r.severity, threshold);
   state.finished.reserve(prepared.sets.size());
+  d.stages_completed = state.batch_index * grid.stages() + state.stages_done;
 
-  const bool early_stop_enabled = options.early_stop_stages > 0;
-  // Interim statistics cost a g_test per set per stage; skip them when
-  // nobody observes them (no stage callback, no early stopping).
-  const bool want_interim = early_stop_enabled || bool(options.on_stage);
-  const bool checkpointing = !options.checkpoint_path.empty();
-  SubPhaseSeconds sub;
-  const auto emit = [&](std::size_t batch, std::size_t stage,
-                        const Verdict& verdict, double stage_secs) {
-    if (!options.on_stage) return;
-    StageReport rep = stage_report(grid, stage, verdict, stage_secs, state, sub);
-    rep.batch = batch + 1;
-    rep.batches_total = batches.size();
-    rep.aliased_probe_sets = prepared.aliases;
-    if (checkpointing) rep.checkpoint_path = options.checkpoint_path;
-    options.on_stage(rep);
-  };
-
-  const StageContext cx{options, feeder, schedule, grid, threads, transitions};
-  std::size_t stages_completed =
-      state.batch_index * grid.stages() + state.stages_done;
-  unsigned stages_run_here = 0;
-  bool interrupted = false;
-  std::size_t hosted_total = 0;
-  std::size_t max_set_shards = 1;
-  while (state.batch_index < batches.size() && !state.complete &&
-         !interrupted && !state.early_stopped) {
-    const std::size_t b = state.batch_index;
-    const BatchRange range = batches[b];
-    const Batch batch =
-        compile_batch(prepared, range, transitions, ttest, shard_target);
-    hosted_total += batch.plan.hosted_sets;
-    max_set_shards = std::max(max_set_shards, batch.plan.shards.size());
-    // A batch's master tables exist only while it runs; a snapshot taken
-    // mid-batch has restored them already.
-    if (state.stages_done == 0)
-      for (std::size_t si = range.first; si < range.second; ++si)
-        state.sets.emplace_back(
-            detail::table_key_bits(prepared.sets[si], transitions, ttest));
-
-    double stage_secs = 0.0;
-    while (true) {
-      const std::size_t s = state.stages_done;
-      const auto stage_start = Clock::now();
-      run_stage(cx, batch, grid.stage_bounds[s], grid.stage_bounds[s + 1],
-                state, sub);
-      materialize_hosted(batch, state);
-      stage_secs = seconds_between(stage_start, Clock::now());
-      ++state.stages_done;
-      ++stages_completed;
-      ++stages_run_here;
-
-      // Interim verdict-so-far over the batch's master tables, on top of
-      // the finalized-batch baseline.
-      Verdict so_far = finished;
-      if (want_interim) {
-        for (std::size_t l = 0; l < state.sets.size(); ++l)
-          so_far.add(prepared.sets[range.first + l].name,
-                     severity_of(state.sets[l], ttest), threshold);
-        if (early_stop_enabled) {
-          const bool over = so_far.max > threshold + options.early_stop_margin;
-          state.streak = over ? state.streak + 1 : 0;
-          if (state.streak >= options.early_stop_stages)
-            state.early_stopped = true;
-        }
-      }
-      // Batch (or campaign) done: finalize below, then snapshot/report
-      // with exact statistics.
-      if (state.stages_done == grid.stages() || state.early_stopped) break;
-      if (checkpointing) save_checkpoint(options.checkpoint_path, state);
-      emit(b, state.stages_done, so_far, stage_secs);
-      if (options.stop_after_stage &&
-          stages_run_here >= options.stop_after_stage) {
-        // Simulated kill: leave the snapshot on disk, return a partial
-        // result flagged `interrupted`.
-        interrupted = true;
-        break;
-      }
-    }
-    if (interrupted) break;
-
-    finalize_batch(prepared, batch, ttest, threshold, state, finished);
-    const std::size_t final_stage = state.stages_done;
-    state.batch_index = b + 1;
-    state.stages_done = 0;
-    state.complete = state.early_stopped || b + 1 == batches.size();
-    if (checkpointing) save_checkpoint(options.checkpoint_path, state);
-    emit(b, final_stage, finished, stage_secs);
-    if (!state.complete && options.stop_after_stage &&
-        stages_run_here >= options.stop_after_stage)
-      interrupted = true;
-  }
+  if (set_major)
+    drive_set_major(d);
+  else
+    drive_sample_major(d, shard_target);
 
   CampaignResult result;
   result.model = options.model;
@@ -959,20 +1496,21 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   result.threads_used = threads;
   result.lanes_used = schedule.lanes();
   result.total_cycles = state.total_cycles;
-  result.table_batches = state.batch_index;
+  result.table_batches = set_major ? 1 : state.batch_index;
+  result.set_major = set_major;
   result.simulate_seconds = state.simulate_seconds;
   result.accumulate_seconds = state.accumulate_seconds;
   result.merge_seconds = state.merge_seconds;
-  result.extract_seconds = sub.extract;
-  result.transpose_seconds = sub.transpose;
-  result.histogram_seconds = sub.histogram;
+  result.extract_seconds = d.sub.extract;
+  result.transpose_seconds = d.sub.transpose;
+  result.histogram_seconds = d.sub.histogram;
   result.aliased_probe_sets = prepared.aliases;
-  result.hosted_sets = hosted_total;
-  result.set_shards = max_set_shards;
+  result.hosted_sets = d.hosted_total;
+  result.set_shards = d.max_set_shards;
   result.stages_total = grid.stages();
-  result.stages_completed = stages_completed;
+  result.stages_completed = d.stages_completed;
   result.early_stopped = state.early_stopped;
-  result.interrupted = interrupted;
+  result.interrupted = d.interrupted;
   result.resumed = resumed;
   result.simulations_done = state.simulations_done;
   result.unevaluated_sets = prepared.sets.size() - state.finished.size();

@@ -129,12 +129,18 @@ struct CampaignOptions {
   /// are dropped and reported, never silently.
   std::size_t max_probe_sets = 0;
 
-  /// Approximate memory budget for count tables. Large order-2 campaigns
-  /// are split into probe-set batches, re-running the (cheap, seeded)
-  /// simulation once per batch to stay under the budget. A batch's tables
-  /// exist only while it runs: the budget covers one batch's master tables
-  /// plus every worker's own tables, so the per-batch share shrinks as the
-  /// thread count grows.
+  /// Approximate memory budget for count tables, which also picks the
+  /// campaign's driver. When the probe sets' tables would not fit the whole
+  /// budget in one batch but the packed observation trace (every sample's
+  /// observed bits, samples x ceil(trace bits / 64) x 8 bytes) does, the
+  /// campaign runs set-major: it simulates once into the resident trace and
+  /// counts one host group of probe sets at a time from it. Otherwise it
+  /// runs sample-major: large order-2 campaigns are split into probe-set
+  /// batches, re-running the (cheap, seeded) simulation once per batch to
+  /// stay under the budget. A batch's tables exist only while it runs: the
+  /// budget covers one batch's master tables plus every worker's own
+  /// tables, so the per-batch share shrinks as the thread count grows. The
+  /// driver choice itself never depends on the thread count or lane width.
   std::size_t table_memory_budget = std::size_t{4096} * 1024 * 1024;
 
   // --- staged evaluation --------------------------------------------------
@@ -220,6 +226,10 @@ struct CampaignResult {
   /// trajectory.
   std::size_t total_cycles = 0;
   std::size_t table_batches = 0;  ///< simulation passes under the memory budget
+  /// The set-major driver ran (see CampaignOptions::table_memory_budget):
+  /// one simulation pass into a resident trace, counted per host group.
+  /// table_batches is then 1.
+  bool set_major = false;
   /// Per-phase CPU time summed over all workers and batches: simulation
   /// (input feeding, settle, snapshot), statistics accumulation, and the
   /// merge (workers' tables into the master, hosted-set marginals). On one
@@ -258,7 +268,8 @@ struct CampaignResult {
   bool interrupted = false;    ///< stop_after_stage fired; snapshot on disk
   bool resumed = false;        ///< continued from a checkpoint
   /// Per-group observations actually simulated, summed over every pass and
-  /// batch (equals simulations_per_group x table_batches when uninterrupted).
+  /// batch (equals simulations_per_group x table_batches when uninterrupted;
+  /// a resumed set-major campaign also counts its re-simulated prefix).
   std::size_t simulations_done = 0;
   /// Sets never evaluated because early stopping skipped their batches.
   std::size_t unevaluated_sets = 0;

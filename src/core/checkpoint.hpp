@@ -8,7 +8,9 @@
 // every draw by absolute run, so the cursor alone determines every
 // remaining draw. Because stages partition the fixed chunk grid and every
 // accumulator is an integer count table, a resumed campaign ends with the
-// same counts as an uninterrupted one, for any thread count.
+// same counts as an uninterrupted one, for any thread count. A set-major
+// campaign's snapshot holds no tables at all: it resumes by re-simulating
+// its prefix into the trace, which the counter PRG makes bit-identical.
 //
 // Cross-layout contract: the fingerprint deliberately excludes the thread
 // count and the SIMD lane width — both are bit-identity-irrelevant by
@@ -61,8 +63,8 @@ struct CampaignSnapshot {
   std::vector<ProbeSetResult> finished;
   /// Master count tables of the in-progress batch, one per probe set:
   /// observation counts for the G-test, the two groups' Hamming-weight
-  /// histograms for the t-test (empty when stages_done is 0 or the
-  /// snapshot is a batch boundary).
+  /// histograms for the t-test (empty when stages_done is 0, the
+  /// snapshot is a batch boundary, or the campaign runs set-major).
   std::vector<stats::FlatCountTable> sets;
 };
 

@@ -54,7 +54,9 @@ std::string to_string(const CampaignResult& result, std::size_t top_n) {
      << result.order << ", " << result.simulations_per_group
      << " simulations/group, " << result.threads_used
      << (result.threads_used == 1 ? " thread" : " threads");
-  if (result.table_batches > 1)
+  if (result.set_major)
+    os << ", set-major";
+  else if (result.table_batches > 1)
     os << ", " << result.table_batches << " table batches";
   os << "\n";
   os << "verdict: " << verdict_line(result) << "\n";
@@ -138,6 +140,7 @@ std::string to_json(const CampaignResult& result, std::size_t top_n) {
      << ",\"resumed\":" << (result.resumed ? "true" : "false")
      << ",\"threads\":" << result.threads_used
      << ",\"table_batches\":" << result.table_batches
+     << ",\"set_major\":" << (result.set_major ? "true" : "false")
      << ",\"simulate_seconds\":" << result.simulate_seconds
      << ",\"accumulate_seconds\":" << result.accumulate_seconds
      << ",\"merge_seconds\":" << result.merge_seconds

@@ -1,5 +1,6 @@
 #include "src/sim/simulator.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.hpp"
@@ -51,8 +52,10 @@ Simulator::Simulator(const Schedule& schedule)
 
 void Simulator::reset() {
   const unsigned nlimbs = limbs();
-  std::memset(slots_.data(), 0, slots_.size() * sizeof(std::uint64_t));
-  std::memset(reg_next_.data(), 0, reg_next_.size() * sizeof(std::uint64_t));
+  // std::fill, not memset: a netlist without registers leaves reg_next_
+  // empty, and memset on its null data() is undefined behaviour.
+  std::fill(slots_.begin(), slots_.end(), std::uint64_t{0});
+  std::fill(reg_next_.begin(), reg_next_.end(), std::uint64_t{0});
   // Constants hold their value permanently.
   if (schedule_->compiled()) {
     for (std::uint32_t s : schedule_->tape().const_one_slots)

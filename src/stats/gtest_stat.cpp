@@ -12,10 +12,9 @@
 
 namespace sca::stats {
 
-namespace {
-
-GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
-                              double min_expected) {
+GTestResult g_test_columns(
+    const std::vector<std::array<std::uint64_t, 2>>& cols,
+    double min_expected) {
   GTestResult result;
   std::uint64_t n0 = 0, n1 = 0;
   for (const auto& c : cols) {
@@ -92,8 +91,6 @@ GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
   return result;
 }
 
-}  // namespace
-
 // --- FlatCountTable -----------------------------------------------------------
 
 FlatCountTable::FlatCountTable(unsigned key_bits)
@@ -139,7 +136,7 @@ GTestResult FlatCountTable::g_test(double min_expected) const {
   for (std::size_t i = 0; i < counts_.size(); i += 2)
     if (counts_[i] || counts_[i + 1])
       cols.push_back({counts_[i], counts_[i + 1]});
-  return g_test_on_columns(std::move(cols), min_expected);
+  return g_test_columns(cols, min_expected);
 }
 
 std::size_t FlatCountTable::bin_count() const {
@@ -216,7 +213,7 @@ GTestResult g_test_two_rows(const std::vector<std::uint64_t>& row_fixed,
     if (row_fixed[i] == 0 && row_random[i] == 0) continue;
     cols.push_back({row_fixed[i], row_random[i]});
   }
-  return g_test_on_columns(std::move(cols), min_expected);
+  return g_test_columns(cols, min_expected);
 }
 
 }  // namespace sca::stats

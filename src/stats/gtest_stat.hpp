@@ -103,6 +103,13 @@ class FlatCountTable {
   std::vector<std::uint64_t> counts_;  // 2 << key_bits_ entries once sized
 };
 
+/// G-test over explicit columns {fixed count, random count}, taken in the
+/// order given; FlatCountTable::g_test passes its observed keys in
+/// ascending key order, so any caller that does the same gets a
+/// bit-identical result from the same counts.
+GTestResult g_test_columns(const std::vector<std::array<std::uint64_t, 2>>& cols,
+                           double min_expected = 5.0);
+
 /// Convenience: G-test on an explicit pair of count vectors (same length,
 /// column i of both rows). Used by the exact verifier and unit tests.
 GTestResult g_test_two_rows(const std::vector<std::uint64_t>& row_fixed,

@@ -186,15 +186,19 @@ TEST(AccPlan, TtestForcesHwRegimeAndDisablesHosting) {
 
 // --- campaign-level bit-identity --------------------------------------------
 
-Netlist kronecker_netlist() {
+Netlist kronecker_netlist(const RandomnessPlan& plan, std::size_t shares) {
   Netlist nl;
-  std::vector<Bus> shares;
-  for (std::size_t i = 0; i < 2; ++i)
-    shares.push_back(gadgets::make_input_bus(
+  std::vector<Bus> buses;
+  for (std::size_t i = 0; i < shares; ++i)
+    buses.push_back(gadgets::make_input_bus(
         nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
         static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, shares, RandomnessPlan::kron1_demeyer_eq6());
+  gadgets::build_kronecker(nl, buses, plan);
   return nl;
+}
+
+Netlist kronecker_netlist() {
+  return kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6(), 2);
 }
 
 Netlist sbox_netlist() {
@@ -257,7 +261,9 @@ TEST(AccPlanCampaign, FusedMatchesScalarOracleAcrossLanesAndThreads) {
       eval::CampaignOptions opts = campaign_options(12000);
       opts.lanes = lanes;
       opts.threads = threads;
-      expect_matches_reference(eval::run_fixed_vs_random(nl, opts), reference,
+      const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
+      EXPECT_FALSE(r.set_major);
+      expect_matches_reference(r, reference,
                                "fused " + std::to_string(lanes) + " lanes / " +
                                    std::to_string(threads) + " threads");
     }
@@ -271,6 +277,7 @@ TEST(AccPlanCampaign, SboxHostingPreservesStatistics) {
   const Netlist nl = sbox_netlist();
   const eval::CampaignResult fused =
       eval::run_fixed_vs_random(nl, campaign_options(4000));
+  EXPECT_FALSE(fused.set_major);
   EXPECT_GT(fused.hosted_sets, 0u);
   expect_matches_reference(
       fused, testutil::reference_campaign(nl, campaign_options(4000)),
@@ -292,6 +299,7 @@ TEST(AccPlanCampaign, CompactedRegimeFusedMatchesScalar) {
   opts.max_observation_bits = 6;
   opts.threads = 2;
   const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, opts);
+  EXPECT_FALSE(fused.set_major);
 
   bool any_compacted = false;
   for (const eval::ProbeSetResult& r : fused.results)
@@ -308,6 +316,7 @@ TEST(AccPlanCampaign, TtestFusedMatchesScalar) {
   opts.threads = 2;
   const eval::CampaignResult fused = eval::run_fixed_vs_random(nl, opts);
   EXPECT_EQ(fused.statistic, eval::Statistic::kWelchTTest);
+  EXPECT_FALSE(fused.set_major);
   expect_matches_reference(fused, testutil::reference_campaign(nl, opts),
                            "welch t-test");
 }
@@ -321,15 +330,75 @@ TEST(AccPlanCampaign, ProbeSetShardsEngageAndPreserveStatistics) {
   eval::CampaignOptions single_opts = campaign_options(12000);
   single_opts.threads = 1;
   const eval::CampaignResult single = eval::run_fixed_vs_random(nl, single_opts);
+  EXPECT_FALSE(single.set_major);
   EXPECT_EQ(single.set_shards, 1u);
 
   eval::CampaignOptions sharded_opts = campaign_options(12000);
   sharded_opts.threads = 8;
   const eval::CampaignResult sharded =
       eval::run_fixed_vs_random(nl, sharded_opts);
+  EXPECT_FALSE(sharded.set_major);
   EXPECT_GT(sharded.set_shards, 1u);
   EXPECT_EQ(sharded.simulations_done, single.simulations_done);
   expect_identical(single, sharded, "2-D shard schedule");
+}
+
+// --- set-major driver ---------------------------------------------------------
+
+TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAcrossLanesAndThreads) {
+  // The order-2 glitch+transition campaign over the 21-bit Kronecker has
+  // tens of thousands of sets, hosted chains and compacted sets, so the
+  // default table budget picks the set-major driver: one trace, counted
+  // per host group. Its statistics must be the reference campaign's, bit
+  // for bit, at every lane width and thread count.
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron2_full_fresh(), 3);
+  eval::CampaignOptions base = campaign_options(2048);
+  base.model = eval::ProbeModel::kGlitchTransition;
+  base.order = 2;
+  const auto reference = testutil::reference_campaign(nl, base);
+  bool any_compacted = false;
+  for (const testutil::ReferenceSet& r : reference) any_compacted |= r.compacted;
+  EXPECT_TRUE(any_compacted);
+  for (unsigned lanes : {64u, 256u, 512u}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      eval::CampaignOptions opts = base;
+      opts.lanes = lanes;
+      opts.threads = threads;
+      const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
+      const std::string tag = "set-major " + std::to_string(lanes) +
+                              " lanes / " + std::to_string(threads) +
+                              " threads";
+      EXPECT_TRUE(r.set_major) << tag;
+      EXPECT_EQ(r.table_batches, 1u) << tag;
+      EXPECT_GT(r.hosted_sets, 0u) << tag;
+      EXPECT_EQ(r.simulations_done, r.simulations_per_group) << tag;
+      expect_matches_reference(r, reference, tag);
+    }
+  }
+}
+
+TEST(SetMajorCampaign, FirstOrderTtestUnderATightBudget) {
+  // A first-order campaign goes set-major only when its tables overflow
+  // the budget while its trace fits. On the masked Sbox, 1 MiB holds the
+  // 192 KiB packed trace (8192 samples of 164 rows) but not the ~90 MB
+  // table estimate. The t-test sets count Hamming weights from the trace
+  // and must match the reference and the default budget's sample-major
+  // run.
+  const Netlist nl = sbox_netlist();
+  eval::CampaignOptions opts = campaign_options(4000);
+  opts.statistic = eval::Statistic::kWelchTTest;
+  opts.threads = 2;
+  opts.table_memory_budget = 1024 * 1024;
+  const eval::CampaignResult set_major = eval::run_fixed_vs_random(nl, opts);
+  EXPECT_TRUE(set_major.set_major);
+  expect_matches_reference(set_major, testutil::reference_campaign(nl, opts),
+                           "set-major welch t-test");
+
+  opts.table_memory_budget = eval::CampaignOptions().table_memory_budget;
+  const eval::CampaignResult sample_major =
+      eval::run_fixed_vs_random(nl, opts);
+  EXPECT_FALSE(sample_major.set_major);
+  expect_identical(set_major, sample_major, "set-major vs sample-major");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -33,10 +34,11 @@ using gadgets::RandomnessPlan;
 using netlist::InputRole;
 using netlist::Netlist;
 
-Netlist kronecker_netlist(const RandomnessPlan& plan) {
+Netlist kronecker_netlist(const RandomnessPlan& plan,
+                          std::size_t share_count = 2) {
   Netlist nl;
   std::vector<Bus> shares;
-  for (std::size_t i = 0; i < 2; ++i)
+  for (std::size_t i = 0; i < share_count; ++i)
     shares.push_back(gadgets::make_input_bus(
         nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
         static_cast<std::uint32_t>(i)));
@@ -192,6 +194,7 @@ TEST(Checkpoint, ResumeUnderTableBatching) {
     return opts;
   };
   const CampaignResult whole = run_fixed_vs_random(nl, make());
+  EXPECT_FALSE(whole.set_major);
   EXPECT_GT(whole.table_batches, 1u);
   for (unsigned kill_after : {1u, 2u, 4u, 5u}) {
     CampaignOptions opts = make();
@@ -273,6 +276,114 @@ TEST(Checkpoint, MissingSnapshotStartsFresh) {
   EXPECT_FALSE(result.resumed);
   EXPECT_EQ(result.stages_completed, result.stages_total);
   std::remove(opts.checkpoint_path.c_str());
+}
+
+// An order-2 glitch+transition campaign over the top gate of the 21-bit
+// Kronecker. A 1 MiB table budget holds its packed trace (12288 samples of
+// at most two words) but not its tables, so it runs set-major. With early
+// stopping, a threshold of 1 makes the second stage stop the campaign.
+CampaignOptions kron2_options(unsigned threads, bool early_stop) {
+  CampaignOptions opts = staged_options(6144, 3, threads);
+  opts.model = ProbeModel::kGlitchTransition;
+  opts.order = 2;
+  opts.probe_scope_filter = "kron.G7";
+  opts.table_memory_budget = 1024 * 1024;
+  if (early_stop) {
+    opts.threshold = 1.0;
+    opts.early_stop_stages = 2;
+  }
+  return opts;
+}
+
+TEST(Checkpoint, SetMajorResumesAtAnyThreadCount) {
+  // A set-major snapshot holds the cursor and the totals but no tables,
+  // and its fingerprint carries no thread-dependent batch grid: written
+  // at 1 thread and killed at every stage boundary, it resumes at 4 and
+  // at 8 threads to the uninterrupted verdict, byte for byte, with and
+  // without early stopping.
+  const Netlist nl =
+      kronecker_netlist(RandomnessPlan::kron2_full_fresh(), /*share_count=*/3);
+  for (const bool early_stop : {false, true}) {
+    const CampaignResult whole =
+        run_fixed_vs_random(nl, kron2_options(1, early_stop));
+    ASSERT_TRUE(whole.set_major);
+    EXPECT_EQ(whole.early_stopped, early_stop);
+    const std::string expected = verdict_json(whole);
+    for (unsigned kill_after = 1; kill_after < whole.stages_total;
+         ++kill_after) {
+      const std::string tag = std::string(early_stop ? "es" : "full") +
+                              std::to_string(kill_after);
+      CampaignOptions opts = kron2_options(1, early_stop);
+      opts.checkpoint_path = ckpt_path("setmajor_" + tag);
+      opts.stop_after_stage = kill_after;
+      const CampaignResult partial = run_fixed_vs_random(nl, opts);
+      if (!partial.interrupted) {
+        // Early stopping ended the campaign before the kill.
+        EXPECT_TRUE(early_stop) << tag;
+        EXPECT_EQ(verdict_json(partial), expected) << tag;
+        std::remove(opts.checkpoint_path.c_str());
+        continue;
+      }
+      for (const unsigned threads : {4u, 8u}) {
+        CampaignOptions resume = kron2_options(threads, early_stop);
+        resume.checkpoint_path = ckpt_path(
+            "setmajor_" + tag + "_t" + std::to_string(threads));
+        std::filesystem::copy_file(opts.checkpoint_path,
+                                   resume.checkpoint_path);
+        resume.resume = true;
+        const CampaignResult resumed = run_fixed_vs_random(nl, resume);
+        EXPECT_TRUE(resumed.resumed) << tag;
+        EXPECT_TRUE(resumed.set_major) << tag;
+        EXPECT_FALSE(resumed.interrupted) << tag;
+        EXPECT_EQ(verdict_json(resumed), expected)
+            << tag << " resumed at " << threads << " threads";
+        std::remove(resume.checkpoint_path.c_str());
+      }
+      std::remove(opts.checkpoint_path.c_str());
+    }
+  }
+}
+
+TEST(Checkpoint, DriverFlipRejectsSnapshot) {
+  // At 64 KiB the campaign's trace (at least 96 KiB) does not fit, so it
+  // runs sample-major in many table batches; at 1 MiB it runs set-major.
+  // The driver is part of the fingerprint, so neither driver resumes the
+  // other's snapshot.
+  const Netlist nl =
+      kronecker_netlist(RandomnessPlan::kron2_full_fresh(), /*share_count=*/3);
+  const auto expect_rejected = [&](const CampaignOptions& resume) {
+    try {
+      (void)run_fixed_vs_random(nl, resume);
+      ADD_FAILURE() << "a snapshot of the other driver was accepted";
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("does not match"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  CampaignOptions sample_major = kron2_options(2, false);
+  sample_major.table_memory_budget = 64 * 1024;
+  sample_major.checkpoint_path = ckpt_path("flip_sample_major");
+  sample_major.stop_after_stage = 1;
+  const CampaignResult partial = run_fixed_vs_random(nl, sample_major);
+  ASSERT_FALSE(partial.set_major);
+  ASSERT_TRUE(partial.interrupted);
+  CampaignOptions resume = kron2_options(2, false);
+  resume.checkpoint_path = sample_major.checkpoint_path;
+  resume.resume = true;
+  expect_rejected(resume);
+  std::remove(sample_major.checkpoint_path.c_str());
+
+  CampaignOptions set_major = kron2_options(2, false);
+  set_major.checkpoint_path = ckpt_path("flip_set_major");
+  set_major.stop_after_stage = 1;
+  ASSERT_TRUE(run_fixed_vs_random(nl, set_major).set_major);
+  resume = kron2_options(2, false);
+  resume.table_memory_budget = 64 * 1024;
+  resume.checkpoint_path = set_major.checkpoint_path;
+  resume.resume = true;
+  expect_rejected(resume);
+  std::remove(set_major.checkpoint_path.c_str());
 }
 
 TEST(Checkpoint, CorruptedSnapshotsAreRejected) {

@@ -320,6 +320,8 @@ TEST(Campaign, DeterministicUnderTableBatching) {
   const CampaignResult unbatched = run_fixed_vs_random(nl, opts);
   opts.table_memory_budget = 4 * 1024;  // forces many batches
   const CampaignResult batched = run_fixed_vs_random(nl, opts);
+  EXPECT_FALSE(unbatched.set_major);
+  EXPECT_FALSE(batched.set_major);
   EXPECT_GT(batched.table_batches, unbatched.table_batches);
   EXPECT_EQ(batched.max_minus_log10_p, unbatched.max_minus_log10_p);
   ASSERT_EQ(batched.results.size(), unbatched.results.size());

@@ -3,6 +3,8 @@
 // Sbox with its conversions.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/aes/sbox.hpp"
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
@@ -39,6 +41,17 @@ struct DomGfCase {
   GfKind kind;
   std::size_t shares;
 };
+
+// Prints the parameter by value. gtest's default byte dump would show the
+// struct's uninitialized padding, so ctest test names would change between
+// runs.
+void PrintTo(const DomGfCase& c, std::ostream* os) {
+  *os << "{"
+      << (c.kind == GfKind::kGf4Tower    ? "gf4"
+          : c.kind == GfKind::kGf16Tower ? "gf16"
+                                         : "gf256")
+      << ", " << c.shares << " shares}";
+}
 
 class DomGfMulTest : public ::testing::TestWithParam<DomGfCase> {};
 

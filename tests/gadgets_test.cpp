@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 
 #include "src/aes/sbox.hpp"
 #include "src/common/bitops.hpp"
@@ -591,6 +592,13 @@ struct SboxConfig {
   const char* name;
   bool kronecker;
 };
+
+// Prints the parameter by value (its name is already the test-name
+// suffix). gtest's default byte dump would show the `name` pointer and the
+// padding, so ctest test names would depend on the build and the run.
+void PrintTo(const SboxConfig& c, std::ostream* os) {
+  *os << (c.kronecker ? "{kronecker}" : "{no kronecker}");
+}
 
 class MaskedSboxTest : public ::testing::TestWithParam<SboxConfig> {};
 

@@ -195,6 +195,7 @@ TEST(KernelCampaign, BitIdenticalAcrossKernelLanesAndThreads) {
       opts.threads = threads;
       const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
       EXPECT_EQ(r.lanes_used, lanes);
+      EXPECT_FALSE(r.set_major);
       expect_matches_reference(r, reference,
                                std::to_string(lanes) + " lanes / " +
                                    std::to_string(threads) + " threads");
@@ -230,6 +231,7 @@ TEST(KernelCampaign, ResumeAcrossLaneWidthsAndKernels) {
   EXPECT_TRUE(resumed.resumed);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.lanes_used, 64u);
+  EXPECT_FALSE(resumed.set_major);
   expect_matches_reference(
       resumed, testutil::reference_campaign(nl, campaign_options(12000)),
       "resume 512 lanes -> 64 lanes");
