@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
-#include <unordered_map>
 
+#include "src/common/bitops.hpp"
 #include "src/common/check.hpp"
-#include "src/common/dynamic_bitset.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/gf/gf256.hpp"
 
 namespace sca::lint {
 
-using common::DynamicBitset;
 using common::require;
 using netlist::GateKind;
 using netlist::GfGadget;
@@ -24,11 +26,7 @@ using netlist::SignalId;
 
 namespace {
 
-/// The (L, N) abstraction of one cone node over the tuple-local variables.
-struct Abs {
-  DynamicBitset lin;
-  DynamicBitset nonlin;
-};
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 bool is_const(const Netlist& nl, SignalId id) {
   const GateKind k = nl.kind(id);
@@ -76,75 +74,25 @@ bool gadget_cone(const Netlist& nl, const GfGadget& g,
   return true;
 }
 
-/// Exhaustive bit-parallel check that the gadget's cone computes the golden
-/// GF(2^8) function of its operands (2^16 assignments for MUL, 2^8 for
-/// INV/SQUARE). Throws common::Error on any mismatch.
-void check_gadget(const Netlist& nl, const GfGadget& g,
-                  const std::vector<SignalId>& cone) {
-  const bool binary = g.kind == GfGadgetKind::kMul;
-  const std::size_t blocks = binary ? (std::size_t{1} << 16) / 64 : 4;
-  std::vector<std::uint64_t> val(nl.size(), 0);
-  for (std::size_t block = 0; block < blocks; ++block) {
-    // Drive the operand leaves: lane L of this block enumerates assignment
-    // idx = block*64 + L with a = idx & 0xff (and b = idx >> 8 for MUL).
-    for (std::size_t i = 0; i < 8; ++i) {
-      std::uint64_t wa = 0, wb = 0;
-      for (std::size_t lane = 0; lane < 64; ++lane) {
-        const std::size_t idx = block * 64 + lane;
-        if ((idx >> i) & 1u) wa |= std::uint64_t{1} << lane;
-        if (binary && ((idx >> (8 + i)) & 1u)) wb |= std::uint64_t{1} << lane;
-      }
-      val[g.a[i]] = wa;
-      if (binary) val[g.b[i]] = wb;
-    }
-    for (const SignalId id : cone) {
-      const netlist::Gate& gate = nl.gate(id);
-      switch (gate.kind) {
-        case GateKind::kConst0:
-          val[id] = 0;
-          break;
-        case GateKind::kConst1:
-          val[id] = ~std::uint64_t{0};
-          break;
-        case GateKind::kBuf:
-          val[id] = val[gate.fanin[0]];
-          break;
-        case GateKind::kNot:
-          val[id] = ~val[gate.fanin[0]];
-          break;
-        case GateKind::kAnd:
-          val[id] = val[gate.fanin[0]] & val[gate.fanin[1]];
-          break;
-        case GateKind::kNand:
-          val[id] = ~(val[gate.fanin[0]] & val[gate.fanin[1]]);
-          break;
-        case GateKind::kOr:
-          val[id] = val[gate.fanin[0]] | val[gate.fanin[1]];
-          break;
-        case GateKind::kNor:
-          val[id] = ~(val[gate.fanin[0]] | val[gate.fanin[1]]);
-          break;
-        case GateKind::kXor:
-          val[id] = val[gate.fanin[0]] ^ val[gate.fanin[1]];
-          break;
-        case GateKind::kXnor:
-          val[id] = ~(val[gate.fanin[0]] ^ val[gate.fanin[1]]);
-          break;
-        case GateKind::kMux:
-          val[id] = (~val[gate.fanin[0]] & val[gate.fanin[1]]) |
-                    (val[gate.fanin[0]] & val[gate.fanin[2]]);
-          break;
-        case GateKind::kInput:
-        case GateKind::kReg:
-          SCA_ASSERT(false, "gf gadget cone contains sequential signal");
-      }
-    }
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-      const std::size_t idx = block * 64 + lane;
+/// Golden bit-planes of one gadget kind over its exhaustive operand
+/// enumeration. Block k holds the 64 assignments idx = 64k + lane, with
+/// a = idx & 0xff (and b = idx >> 8 for MUL); plane[bit][k] has bit `lane`
+/// set when bit `bit` of the operand index (`operand`) or of the golden
+/// result (`result`) is set for that assignment.
+struct GoldenPlanes {
+  std::size_t blocks = 0;
+  std::vector<std::uint64_t> operand;  ///< [bit * blocks + k], bits 0..15
+  std::vector<std::uint64_t> result;   ///< [bit * blocks + k], bits 0..7
+
+  explicit GoldenPlanes(GfGadgetKind kind)
+      : blocks(kind == GfGadgetKind::kMul ? (std::size_t{1} << 16) / 64 : 4),
+        operand(16 * blocks, 0),
+        result(8 * blocks, 0) {
+    for (std::size_t idx = 0; idx < 64 * blocks; ++idx) {
       const auto a = static_cast<std::uint8_t>(idx & 0xff);
       const auto b = static_cast<std::uint8_t>(idx >> 8);
       std::uint8_t expect = 0;
-      switch (g.kind) {
+      switch (kind) {
         case GfGadgetKind::kMul:
           expect = gf::gf256_mul(a, b);
           break;
@@ -155,15 +103,138 @@ void check_gadget(const Netlist& nl, const GfGadget& g,
           expect = gf::gf256_mul(a, a);
           break;
       }
-      std::uint8_t got = 0;
-      for (std::size_t i = 0; i < 8; ++i)
-        got |= static_cast<std::uint8_t>(((val[g.out[i]] >> lane) & 1u) << i);
-      require(got == expect,
-              std::string("gf gadget annotation on ") +
-                  nl.signal_name(g.out[0]) + ": circuit disagrees with " +
-                  std::string(netlist::gf_gadget_kind_name(g.kind)) +
-                  " golden arithmetic");
+      const std::size_t k = idx / 64;
+      const std::uint64_t lane = std::uint64_t{1} << (idx % 64);
+      for (std::size_t bit = 0; bit < 16; ++bit)
+        if ((idx >> bit) & 1u) operand[bit * blocks + k] |= lane;
+      for (std::size_t bit = 0; bit < 8; ++bit)
+        if ((expect >> bit) & 1u) result[bit * blocks + k] |= lane;
     }
+  }
+
+  static const GoldenPlanes& of(GfGadgetKind kind) {
+    static const GoldenPlanes mul(GfGadgetKind::kMul);
+    static const GoldenPlanes inv(GfGadgetKind::kInv);
+    static const GoldenPlanes square(GfGadgetKind::kSquare);
+    switch (kind) {
+      case GfGadgetKind::kMul:
+        return mul;
+      case GfGadgetKind::kInv:
+        return inv;
+      case GfGadgetKind::kSquare:
+        break;
+    }
+    return square;
+  }
+};
+
+/// Exhaustive bit-parallel check that the gadget's cone computes the golden
+/// GF(2^8) function of its operands (2^16 assignments for MUL, 2^8 for
+/// INV/SQUARE), on values local to the cone: slots 0..7 drive a, 8..15
+/// drive b, and slot 16 + i holds cone[i]. Throws common::Error on any
+/// mismatch.
+void check_gadget(const Netlist& nl, const GfGadget& g,
+                  const std::vector<SignalId>& cone) {
+  const bool binary = g.kind == GfGadgetKind::kMul;
+  const GoldenPlanes& golden = GoldenPlanes::of(g.kind);
+
+  // Signal -> local slot. Operand bits are listed a0, b0, a1, b1, ... so a
+  // signal declared in both operands reads as its last declaration.
+  std::vector<std::pair<SignalId, std::uint32_t>> slot_of;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    slot_of.emplace_back(g.a[i], i);
+    if (binary) slot_of.emplace_back(g.b[i], 8 + i);
+  }
+  std::reverse(slot_of.begin(), slot_of.end());
+  std::stable_sort(slot_of.begin(), slot_of.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  slot_of.erase(std::unique(slot_of.begin(), slot_of.end(),
+                            [](const auto& x, const auto& y) {
+                              return x.first == y.first;
+                            }),
+                slot_of.end());
+  for (std::uint32_t i = 0; i < cone.size(); ++i)
+    slot_of.emplace_back(cone[i], 16 + i);
+  std::sort(slot_of.begin(), slot_of.end());
+  const auto slot = [&](SignalId s) {
+    const auto it = std::lower_bound(
+        slot_of.begin(), slot_of.end(), s,
+        [](const auto& entry, SignalId id) { return entry.first < id; });
+    SCA_ASSERT(it != slot_of.end() && it->first == s,
+               "gf gadget signal outside its cone");
+    return it->second;
+  };
+
+  struct LocalGate {
+    GateKind kind;
+    std::uint32_t fanin[3];
+  };
+  std::vector<LocalGate> gates(cone.size());
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    const netlist::Gate& gate = nl.gate(cone[i]);
+    gates[i].kind = gate.kind;
+    for (std::size_t k = 0; k < netlist::gate_arity(gate.kind); ++k)
+      gates[i].fanin[k] = slot(gate.fanin[k]);
+  }
+  std::array<std::uint32_t, 8> out_slot{};
+  for (std::size_t i = 0; i < 8; ++i) out_slot[i] = slot(g.out[i]);
+
+  std::vector<std::uint64_t> val(16 + cone.size(), 0);
+  for (std::size_t k = 0; k < golden.blocks; ++k) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      val[i] = golden.operand[i * golden.blocks + k];
+      val[8 + i] = golden.operand[(8 + i) * golden.blocks + k];
+    }
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      const LocalGate& gate = gates[i];
+      const auto in = [&](std::size_t j) { return val[gate.fanin[j]]; };
+      std::uint64_t& v = val[16 + i];
+      switch (gate.kind) {
+        case GateKind::kConst0:
+          v = 0;
+          break;
+        case GateKind::kConst1:
+          v = ~std::uint64_t{0};
+          break;
+        case GateKind::kBuf:
+          v = in(0);
+          break;
+        case GateKind::kNot:
+          v = ~in(0);
+          break;
+        case GateKind::kAnd:
+          v = in(0) & in(1);
+          break;
+        case GateKind::kNand:
+          v = ~(in(0) & in(1));
+          break;
+        case GateKind::kOr:
+          v = in(0) | in(1);
+          break;
+        case GateKind::kNor:
+          v = ~(in(0) | in(1));
+          break;
+        case GateKind::kXor:
+          v = in(0) ^ in(1);
+          break;
+        case GateKind::kXnor:
+          v = ~(in(0) ^ in(1));
+          break;
+        case GateKind::kMux:
+          v = (~in(0) & in(1)) | (in(0) & in(2));
+          break;
+        case GateKind::kInput:
+        case GateKind::kReg:
+          SCA_ASSERT(false, "gf gadget cone contains sequential signal");
+      }
+    }
+    for (std::size_t bit = 0; bit < 8; ++bit)
+      if (val[out_slot[bit]] != golden.result[bit * golden.blocks + k])
+        throw common::Error(
+            "gf gadget annotation on " + nl.signal_name(g.out[0]) +
+            ": circuit disagrees with " +
+            std::string(netlist::gf_gadget_kind_name(g.kind)) +
+            " golden arithmetic");
   }
 }
 
@@ -186,24 +257,106 @@ bool traces_to_nonzero_bus(const Netlist& nl, const std::vector<SignalId>& b) {
   return false;
 }
 
+/// Compressed rows keyed by unrolled signal: offsets[s] .. offsets[s + 1]
+/// index the entries of signal s.
+template <typename T>
+void build_index(std::size_t signals,
+                 std::vector<std::pair<SignalId, T>> pairs,
+                 std::vector<std::uint32_t>& offsets, std::vector<T>& entries) {
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  offsets.assign(signals + 1, 0);
+  for (const auto& [signal, entry] : pairs) ++offsets[signal + 1];
+  for (std::size_t s = 0; s < signals; ++s) offsets[s + 1] += offsets[s];
+  entries.clear();
+  entries.reserve(pairs.size());
+  for (auto& pair : pairs) entries.push_back(std::move(pair.second));
+}
+
+/// One cone node with cone-local fanin positions.
+struct Node {
+  GateKind kind = GateKind::kConst0;
+  std::uint8_t arity = 0;
+  std::array<std::uint32_t, 3> fanin{};
+  std::uint32_t var = kNone;  ///< leaf variable of an input node
+};
+
+/// A tuple-local lattice variable. Leaf variables are the share/fresh
+/// inputs present in the cone (control inputs are public and treated as
+/// constants); the rest are virtual pads created by cuts and gadget rules.
+struct Var {
+  bool fresh = false;    ///< fresh input or virtual
+  bool padable = true;   ///< usable as an XOR one-time pad
+  SignalId input = netlist::kNoSignal;  ///< unrolled input (leaves only)
+};
+
+/// A share variable filed under its sharing instance (secret, bit, cycle).
+struct ShareMember {
+  std::uint32_t secret = 0;
+  std::uint32_t bit = 0;
+  std::size_t cycle = 0;
+  std::uint32_t share = 0;
+  std::size_t var = 0;
+
+  bool same_instance(const ShareMember& o) const {
+    return secret == o.secret && bit == o.bit && cycle == o.cycle;
+  }
+  bool operator<(const ShareMember& o) const {
+    return std::tie(secret, bit, cycle, share, var) <
+           std::tie(o.secret, o.bit, o.cycle, o.share, o.var);
+  }
+};
+
+bool test_bit(const std::uint64_t* words, std::size_t v) {
+  return (words[v >> 6] >> (v & 63)) & 1u;
+}
+
+void set_bit(std::uint64_t* words, std::size_t v) {
+  words[v >> 6] |= std::uint64_t{1} << (v & 63);
+}
+
 }  // namespace
 
 TupleAnalyzer::TupleAnalyzer(const Netlist& original,
-                             const verif::Unrolled& unrolled)
-    : original_(&original), unrolled_(&unrolled) {
+                             const verif::Unrolled& unrolled, unsigned threads)
+    : original_(&original),
+      unrolled_(&unrolled),
+      debug_(std::getenv("SCA_LINT_DEBUG") != nullptr) {
   require(unrolled.cycles > 0, "TupleAnalyzer: empty unrolling");
   last_cycle_ = unrolled.cycles - 1;
-  input_index_.assign(unrolled.nl.size(), SIZE_MAX);
-  const auto& inputs = unrolled.nl.inputs();
-  for (std::size_t i = 0; i < inputs.size(); ++i)
+  const Netlist& unl = unrolled.nl;
+  input_index_.assign(unl.size(), SIZE_MAX);
+  const auto& inputs = unl.inputs();
+  input_nonzero_.resize(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
     input_index_[inputs[i].signal] = i;
+    input_nonzero_[i] = inputs[i].role == InputRole::kRandom &&
+                        original.in_nonzero_bus(unrolled.input_original[i]);
+  }
+  for (std::uint32_t s = 0; s < original.secret_group_count(); ++s)
+    share_counts_.push_back(original.share_count(s));
 
   // Re-verify every byte-level gadget annotation before any rule may rely
-  // on it: structural containment + exhaustive functional equivalence.
-  std::vector<SignalId> cone;
-  for (const GfGadget& g : original.gf_gadgets()) {
-    if (!gadget_cone(original, g, cone)) continue;  // sliced to constants
-    check_gadget(original, g, cone);
+  // on it: structural containment + exhaustive functional equivalence. The
+  // gadgets are independent, so they are checked in parallel; the first
+  // failing gadget in declaration order is reported.
+  const std::vector<GfGadget>& gadgets = original.gf_gadgets();
+  std::vector<char> live(gadgets.size(), 0);
+  std::vector<std::string> errors(gadgets.size());
+  common::parallel_for(gadgets.size(), threads, [&](std::size_t i) {
+    try {
+      std::vector<SignalId> cone;
+      if (!gadget_cone(original, gadgets[i], cone)) return;  // sliced away
+      check_gadget(original, gadgets[i], cone);
+      live[i] = 1;
+    } catch (const common::Error& e) {
+      errors[i] = e.what();
+    }
+  });
+  for (std::size_t i = 0; i < gadgets.size(); ++i) {
+    if (!errors[i].empty()) throw common::Error(errors[i]);
+    if (!live[i]) continue;
+    const GfGadget& g = gadgets[i];
     if (g.kind == GfGadgetKind::kMul)
       mul_sites_.push_back({&g, traces_to_nonzero_bus(original, g.b)});
     else
@@ -230,311 +383,534 @@ TupleAnalyzer::TupleAnalyzer(const Netlist& original,
       families_.push_back(Family{slots});
     }
   }
-}
 
-TupleVerdict TupleAnalyzer::analyze(
-    const std::vector<TupleElement>& elements) const {
-  const Netlist& unl = unrolled_->nl;
-
-  // --- resolve elements to unrolled signals -------------------------------
-  std::vector<SignalId> element_ids;
-  element_ids.reserve(elements.size());
-  for (const TupleElement& e : elements) {
-    require(e.cycle_back <= last_cycle_,
-            "TupleAnalyzer: cycle_back outside the unroll window");
-    const SignalId id = unrolled_->map[last_cycle_ - e.cycle_back][e.stable];
-    require(id != netlist::kNoSignal,
-            "TupleAnalyzer: element depends on the cold start (unroll "
-            "deeper)");
-    element_ids.push_back(id);
-  }
-
-  // --- collect the union combinational cone -------------------------------
-  // Unrolled signal ids ascend topologically (fanins always precede their
-  // gate), so a sorted id list is a topological order.
-  std::vector<SignalId> cone;
-  {
-    std::vector<bool> seen(unl.size(), false);
-    std::vector<SignalId> stack(element_ids.begin(), element_ids.end());
-    while (!stack.empty()) {
-      const SignalId id = stack.back();
-      stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      cone.push_back(id);
-      const netlist::Gate& g = unl.gate(id);
-      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
-        stack.push_back(g.fanin[k]);
+  // Index the rule instances and nonzero-bus instances by unrolled signal,
+  // so a tuple finds the ones its cone touches in time linear in the cone.
+  std::vector<std::pair<SignalId, RuleInst>> rule_pairs;
+  const auto add_outputs = [&](const GfGadget& g, RuleInst inst) {
+    for (const SignalId s : g.out) {
+      const SignalId id = unrolled.map[inst.cycle][s];
+      if (id != netlist::kNoSignal) rule_pairs.emplace_back(id, inst);
     }
-    std::sort(cone.begin(), cone.end());
-  }
-  std::unordered_map<SignalId, std::size_t> cone_pos;
-  cone_pos.reserve(cone.size());
-  for (std::size_t i = 0; i < cone.size(); ++i) cone_pos[cone[i]] = i;
-
-  // --- tuple-local variables ---------------------------------------------
-  // Leaf variables are the share/fresh inputs present in the cone (control
-  // inputs are public and treated as constants). Bits of annotated nonzero
-  // buses are fresh but *non-padable*: biased and byte-correlated, they
-  // never serve as XOR one-time pads.
-  struct Var {
-    bool fresh = false;  // fresh input or virtual
-    bool padable = true; // usable as an XOR one-time pad
-    SignalId input = netlist::kNoSignal;  // unrolled input (leaves only)
   };
-  std::vector<Var> vars;
-  std::vector<std::size_t> var_of_input(unl.inputs().size(), SIZE_MAX);
-  std::vector<std::size_t> input_pos_of_var;  // cone position per leaf var
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    const SignalId id = cone[i];
-    if (unl.kind(id) != GateKind::kInput) continue;
-    const std::size_t ii = input_index_[id];
-    const netlist::InputInfo& info = unl.inputs()[ii];
-    if (info.role == InputRole::kControl) continue;
-    const bool fresh = info.role == InputRole::kRandom;
-    const bool padable =
-        !fresh || !original_->in_nonzero_bus(unrolled_->input_original[ii]);
-    var_of_input[ii] = vars.size();
-    vars.push_back(Var{fresh, padable, id});
-    input_pos_of_var.push_back(i);
-  }
-  const std::size_t leaf_vars = vars.size();
-
-  // --- raw non-completeness fast path -------------------------------------
-  // The residual support after any sequence of eliminations is a subset of
-  // the raw leaf support, and the non-completeness verdict needs only
-  // independence-from-secrets of the fresh inputs — so a tuple whose raw
-  // leaf support completes no sharing instance is secure without building
-  // any lattice state.
-  {
-    std::map<std::tuple<std::uint32_t, std::uint32_t, std::size_t>,
-             std::vector<std::uint32_t>>
-        raw;
-    bool complete = false;
-    for (std::size_t v = 0; v < leaf_vars && !complete; ++v) {
-      if (vars[v].fresh) continue;
-      const std::size_t ii = input_index_[vars[v].input];
-      const netlist::ShareLabel& label = unl.inputs()[ii].share;
-      auto& shares =
-          raw[{label.secret, label.bit, unrolled_->input_cycle[ii]}];
-      if (std::find(shares.begin(), shares.end(), label.share) ==
-          shares.end())
-        shares.push_back(label.share);
-      complete = shares.size() >= original_->share_count(label.secret);
-    }
-    if (!complete) return TupleVerdict{};
-  }
-
-  // --- byte-level rule instances ------------------------------------------
-  // A rule instance is a (family | multiplier | inverse/square, cycle) pair
-  // with at least one output bit inside the cone. Collected up front so the
-  // variable capacity can cover every possible replacement byte.
-  struct Inst {
-    enum class Kind { kFamily, kMul, kUnary } kind;
-    std::size_t index = 0;
-    std::size_t cycle = 0;
-  };
-  std::vector<Inst> insts;
-  std::size_t rule_var_budget = 0;
-  const auto mapped_pos = [&](SignalId orig, std::size_t cycle) {
-    const SignalId id = unrolled_->map[cycle][orig];
-    if (id == netlist::kNoSignal) return SIZE_MAX;
-    const auto it = cone_pos.find(id);
-    return it == cone_pos.end() ? SIZE_MAX : it->second;
-  };
-  const auto any_out_in_cone = [&](const GfGadget& g, std::size_t cycle) {
-    for (const SignalId s : g.out)
-      if (mapped_pos(s, cycle) != SIZE_MAX) return true;
-    return false;
-  };
-  for (std::size_t c = 0; c <= last_cycle_; ++c) {
-    for (std::size_t fi = 0; fi < families_.size(); ++fi) {
-      bool any = false;
+  std::vector<std::pair<SignalId, std::array<SignalId, 8>>> nonzero_pairs;
+  for (std::uint32_t c = 0; c <= last_cycle_; ++c) {
+    for (std::uint32_t fi = 0; fi < families_.size(); ++fi)
       for (const std::size_t s : families_[fi].mul_sites)
-        any = any || any_out_in_cone(*mul_sites_[s].gadget, c);
-      if (!any) continue;
-      insts.push_back({Inst::Kind::kFamily, fi, c});
-      rule_var_budget += 8 * families_[fi].mul_sites.size();
-    }
-    for (std::size_t si = 0; si < mul_sites_.size(); ++si) {
-      if (!mul_sites_[si].factor_nonzero) continue;
-      if (!any_out_in_cone(*mul_sites_[si].gadget, c)) continue;
-      insts.push_back({Inst::Kind::kMul, si, c});
-      rule_var_budget += 8;
-    }
-    for (std::size_t si = 0; si < unary_sites_.size(); ++si) {
-      if (!any_out_in_cone(*unary_sites_[si].gadget, c)) continue;
-      insts.push_back({Inst::Kind::kUnary, si, c});
-      rule_var_budget += 8;
-    }
-  }
-  const std::size_t var_capacity = leaf_vars + cone.size() + rule_var_budget;
-
-  // --- abstraction computation -------------------------------------------
-  // forced[pos] marks nodes rewritten by a cut or a byte-level rule;
-  // forced_abs[pos] is the prescribed abstraction (a single virtual pad for
-  // XOR cuts, replacement-byte combinations for the gadget rules).
-  std::vector<char> forced(cone.size(), 0);
-  std::vector<Abs> forced_abs(cone.size());
-  // var_sources[v] = cone positions that *emit* variable v: its input node
-  // for a leaf, every forced node whose prescription mentions it otherwise.
-  std::vector<std::vector<std::size_t>> var_sources(var_capacity);
-  for (std::size_t v = 0; v < leaf_vars; ++v)
-    var_sources[v].push_back(input_pos_of_var[v]);
-  std::vector<Abs> abs(cone.size());
-
-  const auto recompute = [&]() {
-    for (std::size_t i = 0; i < cone.size(); ++i) {
-      Abs& a = abs[i];
-      if (forced[i]) {
-        a = forced_abs[i];
-        continue;
-      }
-      a.lin = DynamicBitset(var_capacity);
-      a.nonlin = DynamicBitset(var_capacity);
-      const SignalId id = cone[i];
-      const netlist::Gate& g = unl.gate(id);
-      const auto fan = [&](std::size_t k) -> const Abs& {
-        return abs[cone_pos.at(g.fanin[k])];
-      };
-      switch (g.kind) {
-        case GateKind::kConst0:
-        case GateKind::kConst1:
-          break;
-        case GateKind::kInput: {
-          const std::size_t v = var_of_input[input_index_[id]];
-          if (v != SIZE_MAX) a.lin.set(v);
-          break;
-        }
-        case GateKind::kBuf:
-        case GateKind::kNot:
-          a = fan(0);
-          break;
-        case GateKind::kXor:
-        case GateKind::kXnor:
-          a.lin = fan(0).lin;
-          a.lin ^= fan(1).lin;
-          a.nonlin = fan(0).nonlin;
-          a.nonlin |= fan(1).nonlin;
-          break;
-        case GateKind::kAnd:
-        case GateKind::kNand:
-        case GateKind::kOr:
-        case GateKind::kNor:
-          a.nonlin = fan(0).lin;
-          a.nonlin |= fan(0).nonlin;
-          a.nonlin |= fan(1).lin;
-          a.nonlin |= fan(1).nonlin;
-          break;
-        case GateKind::kMux:
-          for (std::size_t k = 0; k < 3; ++k) {
-            a.nonlin |= fan(k).lin;
-            a.nonlin |= fan(k).nonlin;
-          }
-          break;
-        case GateKind::kReg:
-          SCA_ASSERT(false, "TupleAnalyzer: register in unrolled netlist");
-      }
-    }
-  };
-  recompute();
-
-  // Backward reachability from the tuple: reach[pos] is true when the
-  // node's value influences some element, with `opaque` nodes (when given)
-  // treated as blind leaves. Forced nodes and inputs are sources — their
-  // fanins do not propagate through them. A variable then reaches the
-  // tuple iff one of its source nodes is reached.
-  std::vector<char> reach(cone.size(), 0);
-  std::vector<std::size_t> reach_stack;
-  const auto compute_reach = [&](const std::vector<char>* opaque) {
-    std::fill(reach.begin(), reach.end(), 0);
-    reach_stack.clear();
-    for (const SignalId e : element_ids)
-      reach_stack.push_back(cone_pos.at(e));
-    while (!reach_stack.empty()) {
-      const std::size_t p = reach_stack.back();
-      reach_stack.pop_back();
-      if (reach[p]) continue;
-      if (opaque && (*opaque)[p]) continue;
-      reach[p] = 1;
-      if (forced[p]) continue;
-      const netlist::Gate& g = unl.gate(cone[p]);
-      if (g.kind == GateKind::kInput) continue;
-      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
-        reach_stack.push_back(cone_pos.at(g.fanin[k]));
-    }
-  };
-  const auto var_reaches = [&](std::size_t v) {
-    for (const std::size_t p : var_sources[v])
-      if (reach[p]) return true;
-    return false;
-  };
-
-  TupleVerdict verdict;
-  const bool debug = std::getenv("SCA_LINT_DEBUG") != nullptr;
-
-  const auto new_byte = [&](bool padable) {
-    std::array<std::size_t, 8> b{};
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      b[bit] = vars.size();
-      vars.push_back(Var{true, padable, netlist::kNoSignal});
-    }
-    require(vars.size() <= var_capacity,
-            "TupleAnalyzer: variable capacity overflow");
-    return b;
-  };
-  const auto force_node = [&](std::size_t pos, const DynamicBitset& lin) {
-    forced[pos] = 1;
-    forced_abs[pos].lin = lin;
-    forced_abs[pos].nonlin = DynamicBitset(var_capacity);
-    for (const std::size_t v : lin.set_bits()) var_sources[v].push_back(pos);
-  };
-
-  // Replacement bytes created by the gadget rules whose distribution is
-  // uniform over GF(256)*, plus the leaf nonzero-bus instances — the
-  // operand classes the multiplier/inverse rules recognize beyond plain
-  // fresh-uniform bytes.
-  std::vector<std::array<std::size_t, 8>> nonzero_groups;
-  for (const auto& bus : original_->nonzero_buses())
-    for (std::size_t c = 0; c <= last_cycle_; ++c) {
-      std::array<std::size_t, 8> grp{};
+        add_outputs(*mul_sites_[s].gadget, {c, RuleInst::Kind::kFamily, fi});
+    for (std::uint32_t si = 0; si < mul_sites_.size(); ++si)
+      if (mul_sites_[si].factor_nonzero)
+        add_outputs(*mul_sites_[si].gadget, {c, RuleInst::Kind::kMul, si});
+    for (std::uint32_t si = 0; si < unary_sites_.size(); ++si)
+      add_outputs(*unary_sites_[si].gadget, {c, RuleInst::Kind::kUnary, si});
+    for (const auto& bus : original.nonzero_buses()) {
+      std::array<SignalId, 8> ids{};
       bool ok = true;
       for (std::size_t i = 0; i < 8 && ok; ++i) {
-        const SignalId id = unrolled_->map[c][bus[i]];
-        if (id == netlist::kNoSignal || !cone_pos.count(id)) {
-          ok = false;
-          break;
-        }
-        const std::size_t v = var_of_input[input_index_[id]];
-        ok = v != SIZE_MAX;
-        grp[i] = v;
+        ids[i] = unrolled.map[c][bus[i]];
+        ok = ids[i] != netlist::kNoSignal;
       }
-      if (ok) nonzero_groups.push_back(grp);
+      if (ok) nonzero_pairs.emplace_back(ids[0], ids);
     }
-  const auto matches_nonzero_group = [&](const std::array<std::size_t, 8>& g) {
-    return std::find(nonzero_groups.begin(), nonzero_groups.end(), g) !=
-           nonzero_groups.end();
-  };
+  }
+  build_index(unl.size(), std::move(rule_pairs), rule_offsets_, rule_insts_);
+  build_index(unl.size(), std::move(nonzero_pairs), nonzero_offsets_,
+              nonzero_instances_);
+}
 
-  // Reads an operand bus at a cycle as a pure byte of distinct single
-  // variables (bit b == exactly one lattice variable, no nonlinear part).
-  const auto operand_byte = [&](const std::vector<SignalId>& bus,
-                                std::size_t cycle,
-                                std::array<std::size_t, 8>& out) {
+/// Buffers of one analyze() call, kept per thread so that a tuple costs no
+/// allocation once they have grown to the largest cone seen.
+struct TupleAnalyzer::Scratch {
+  // Whole-netlist maps; an entry is valid when its stamp equals `epoch`,
+  // so starting a new cone costs nothing.
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> pos;  ///< unrolled signal -> cone position
+  std::uint32_t epoch = 0;
+
+  std::vector<SignalId> element_ids;
+  std::vector<SignalId> stack;
+  std::vector<SignalId> cone;  ///< ascending unrolled ids = topological
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> elements;  ///< cone position per tuple element
+  std::vector<Var> vars;
+  std::vector<std::uint32_t> leaf_pos;  ///< cone position per leaf variable
+  std::vector<ShareMember> members;
+  std::vector<RuleInst> insts;
+  std::vector<std::array<std::size_t, 8>> nonzero_groups;
+
+  /// (L, N) of every node: node i owns words [2iW, 2iW + W) for L and the
+  /// next W for N, W = Pass::width_.
+  std::vector<std::uint64_t> arena;
+  std::vector<std::uint64_t> spare;  ///< widening target
+  std::vector<std::uint64_t> tmp;    ///< one node's (L, N) under refresh
+  std::vector<std::uint64_t> sup;    ///< one variable set
+  std::vector<std::uint64_t> rows;   ///< element rows, same layout as arena
+  std::vector<char> forced;
+  std::vector<char> changed;
+  std::vector<std::uint32_t> forced_list;
+  std::vector<std::uint32_t> idom;
+  std::vector<char> reach;
+  std::vector<std::uint32_t> reach_stack;
+  std::vector<std::uint32_t> blocked;
+  std::vector<std::uint32_t> out_pos;
+  std::vector<std::size_t> in_cone;
+  std::vector<std::size_t> lin_rows;
+  std::vector<char> row_done;
+  std::vector<char> contributing;
+};
+
+/// One analyze() call: the cone, its lattice state and the OTP/gadget-rule
+/// fixpoint, all indexed by cone position on the calling thread's scratch.
+class TupleAnalyzer::Pass {
+ public:
+  Pass(const TupleAnalyzer& analyzer, Scratch& scratch)
+      : a_(analyzer), s_(scratch), unl_(analyzer.unrolled_->nl) {}
+
+  TupleVerdict run(const std::vector<TupleElement>& elements) {
+    resolve(elements);
+    collect_cone();
+    collect_vars();
+    if (!raw_support_completes()) return TupleVerdict{};
+    collect_rules();
+    init_lattice();
+    fixpoint();
+    eliminate_rows();
+    return residual();
+  }
+
+ private:
+  using Byte = std::array<std::size_t, 8>;
+
+  // --- cone and variables ----------------------------------------------------
+
+  void resolve(const std::vector<TupleElement>& elements) {
+    s_.element_ids.clear();
+    for (const TupleElement& e : elements) {
+      if (e.cycle_back > a_.last_cycle_)
+        throw common::Error(
+            "TupleAnalyzer: cycle_back outside the unroll window");
+      const SignalId id =
+          a_.unrolled_->map[a_.last_cycle_ - e.cycle_back][e.stable];
+      if (id == netlist::kNoSignal)
+        throw common::Error(
+            "TupleAnalyzer: element depends on the cold start (unroll "
+            "deeper)");
+      s_.element_ids.push_back(id);
+    }
+  }
+
+  /// The union combinational cone, ascending by unrolled id (fanins always
+  /// precede their gate, so this is a topological order).
+  void collect_cone() {
+    if (s_.stamp.size() < unl_.size()) {
+      s_.stamp.resize(unl_.size(), 0);
+      s_.pos.resize(unl_.size());
+    }
+    if (++s_.epoch == 0) {
+      std::fill(s_.stamp.begin(), s_.stamp.end(), 0);
+      s_.epoch = 1;
+    }
+    s_.cone.clear();
+    s_.stack.assign(s_.element_ids.begin(), s_.element_ids.end());
+    while (!s_.stack.empty()) {
+      const SignalId id = s_.stack.back();
+      s_.stack.pop_back();
+      if (s_.stamp[id] == s_.epoch) continue;
+      s_.stamp[id] = s_.epoch;
+      s_.cone.push_back(id);
+      const netlist::Gate& g = unl_.gate(id);
+      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
+        s_.stack.push_back(g.fanin[k]);
+    }
+    std::sort(s_.cone.begin(), s_.cone.end());
+    n_ = static_cast<std::uint32_t>(s_.cone.size());
+    for (std::uint32_t i = 0; i < n_; ++i) s_.pos[s_.cone[i]] = i;
+    s_.nodes.resize(n_);
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      const netlist::Gate& g = unl_.gate(s_.cone[i]);
+      Node& node = s_.nodes[i];
+      node.kind = g.kind;
+      node.arity = static_cast<std::uint8_t>(netlist::gate_arity(g.kind));
+      for (std::size_t k = 0; k < node.arity; ++k)
+        node.fanin[k] = s_.pos[g.fanin[k]];
+      node.var = kNone;
+    }
+    s_.elements.clear();
+    for (const SignalId id : s_.element_ids) s_.elements.push_back(s_.pos[id]);
+  }
+
+  /// Cone position of unrolled signal `id`, kNone outside the cone.
+  std::uint32_t pos_of(SignalId id) const {
+    return id != netlist::kNoSignal && s_.stamp[id] == s_.epoch ? s_.pos[id]
+                                                                : kNone;
+  }
+  std::uint32_t mapped_pos(SignalId orig, std::size_t cycle) const {
+    return pos_of(a_.unrolled_->map[cycle][orig]);
+  }
+
+  /// Leaf variables in cone order. Bits of annotated nonzero buses are
+  /// fresh but *non-padable*: biased and byte-correlated, they never serve
+  /// as XOR one-time pads.
+  void collect_vars() {
+    s_.vars.clear();
+    s_.leaf_pos.clear();
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      if (s_.nodes[i].kind != GateKind::kInput) continue;
+      const std::size_t ii = a_.input_index_[s_.cone[i]];
+      const InputRole role = unl_.inputs()[ii].role;
+      if (role == InputRole::kControl) continue;
+      const bool fresh = role == InputRole::kRandom;
+      s_.nodes[i].var = static_cast<std::uint32_t>(s_.vars.size());
+      s_.vars.push_back(Var{fresh, !a_.input_nonzero_[ii], s_.cone[i]});
+      s_.leaf_pos.push_back(i);
+    }
+    leaf_vars_ = s_.vars.size();
+  }
+
+  /// Files leaf share variable v under its sharing instance.
+  ShareMember member(std::size_t v) const {
+    const std::size_t ii = a_.input_index_[s_.vars[v].input];
+    const netlist::ShareLabel& label = unl_.inputs()[ii].share;
+    return ShareMember{label.secret, label.bit, a_.unrolled_->input_cycle[ii],
+                       label.share, v};
+  }
+
+  /// Sorted members [lo, hi) of one sharing instance reach every share.
+  bool completes(std::size_t lo, std::size_t hi) const {
+    std::size_t distinct = 0;
+    for (std::size_t k = lo; k < hi; ++k)
+      distinct += k == lo || s_.members[k].share != s_.members[k - 1].share;
+    const std::uint32_t secret = s_.members[lo].secret;
+    return distinct >= (secret < a_.share_counts_.size()
+                             ? a_.share_counts_[secret]
+                             : 0);
+  }
+
+  /// Raw non-completeness fast path. The residual support after any
+  /// sequence of eliminations is a subset of the raw leaf support, and the
+  /// non-completeness verdict needs only independence-from-secrets of the
+  /// fresh inputs — so a tuple whose raw leaf support completes no sharing
+  /// instance is secure without building any lattice state.
+  bool raw_support_completes() {
+    s_.members.clear();
+    for (std::size_t v = 0; v < leaf_vars_; ++v)
+      if (!s_.vars[v].fresh) s_.members.push_back(member(v));
+    std::sort(s_.members.begin(), s_.members.end());
+    for (std::size_t lo = 0, hi; lo < s_.members.size(); lo = hi) {
+      for (hi = lo + 1; hi < s_.members.size() &&
+                        s_.members[hi].same_instance(s_.members[lo]);
+           ++hi) {
+      }
+      if (completes(lo, hi)) return true;
+    }
+    return false;
+  }
+
+  /// Rule instances with an output bit in the cone, in (cycle, kind, index)
+  /// order, and the nonzero-bus instances whose 8 bits are all cone
+  /// variables — the leaf operand class the multiplier/inverse rules
+  /// recognize beyond plain fresh-uniform bytes.
+  void collect_rules() {
+    s_.insts.clear();
+    s_.nonzero_groups.clear();
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      const SignalId id = s_.cone[i];
+      s_.insts.insert(s_.insts.end(),
+                      a_.rule_insts_.begin() + a_.rule_offsets_[id],
+                      a_.rule_insts_.begin() + a_.rule_offsets_[id + 1]);
+      for (std::uint32_t k = a_.nonzero_offsets_[id];
+           k < a_.nonzero_offsets_[id + 1]; ++k) {
+        Byte group{};
+        bool ok = true;
+        for (std::size_t bit = 0; bit < 8 && ok; ++bit) {
+          const std::uint32_t p = pos_of(a_.nonzero_instances_[k][bit]);
+          ok = p != kNone && s_.nodes[p].var != kNone;
+          if (ok) group[bit] = s_.nodes[p].var;
+        }
+        if (ok) s_.nonzero_groups.push_back(group);
+      }
+    }
+    std::sort(s_.insts.begin(), s_.insts.end());
+    s_.insts.erase(std::unique(s_.insts.begin(), s_.insts.end()),
+                   s_.insts.end());
+  }
+
+  // --- lattice state -----------------------------------------------------------
+
+  std::uint64_t* lin(std::uint32_t i) {
+    return &s_.arena[2 * std::size_t{i} * width_];
+  }
+  std::uint64_t* nonlin(std::uint32_t i) { return lin(i) + width_; }
+
+  /// Sizes the arena to the leaf variables (it widens on demand) and
+  /// computes every node's (L, N).
+  void init_lattice() {
+    width_ = std::max<std::size_t>(1, common::ceil_div(leaf_vars_, 64));
+    s_.arena.assign(2 * n_ * width_, 0);
+    s_.forced.assign(n_, 0);
+    s_.changed.assign(n_, 0);
+    s_.reach.assign(n_, 0);
+    s_.forced_list.clear();
+    for (std::uint32_t i = 0; i < n_; ++i) eval_node(i, lin(i));
+    dirty_from_ = n_;
+    dom_valid_ = false;
+  }
+
+  /// (L, N) of non-forced node i from its fanins, into out[0, W) and
+  /// out[W, 2W).
+  void eval_node(std::uint32_t i, std::uint64_t* out) {
+    const Node& node = s_.nodes[i];
+    const std::size_t w = width_;
+    std::uint64_t* l = out;
+    std::uint64_t* nl = out + w;
+    std::fill_n(out, 2 * w, 0);
+    switch (node.kind) {
+      case GateKind::kConst0:
+      case GateKind::kConst1:
+        break;
+      case GateKind::kInput:
+        if (node.var != kNone) set_bit(l, node.var);
+        break;
+      case GateKind::kBuf:
+      case GateKind::kNot:
+        std::copy_n(lin(node.fanin[0]), 2 * w, l);
+        break;
+      case GateKind::kXor:
+      case GateKind::kXnor: {
+        const std::uint64_t* a = lin(node.fanin[0]);
+        const std::uint64_t* b = lin(node.fanin[1]);
+        for (std::size_t j = 0; j < w; ++j) {
+          l[j] = a[j] ^ b[j];
+          nl[j] = a[w + j] | b[w + j];
+        }
+        break;
+      }
+      case GateKind::kAnd:
+      case GateKind::kNand:
+      case GateKind::kOr:
+      case GateKind::kNor:
+      case GateKind::kMux:
+        for (std::size_t k = 0; k < node.arity; ++k) {
+          const std::uint64_t* a = lin(node.fanin[k]);
+          for (std::size_t j = 0; j < w; ++j) nl[j] |= a[j] | a[w + j];
+        }
+        break;
+      case GateKind::kReg:
+        SCA_ASSERT(false, "TupleAnalyzer: register in unrolled netlist");
+    }
+  }
+
+  /// A new virtual variable; widens the arena when it no longer fits.
+  std::size_t add_var(bool padable) {
+    const std::size_t v = s_.vars.size();
+    s_.vars.push_back(Var{true, padable, netlist::kNoSignal});
+    if (s_.vars.size() > 64 * width_) {
+      const std::size_t w = 2 * width_;
+      s_.spare.assign(2 * n_ * w, 0);
+      for (std::size_t k = 0; k < 2 * std::size_t{n_}; ++k)
+        std::copy_n(&s_.arena[k * width_], width_, &s_.spare[k * w]);
+      s_.arena.swap(s_.spare);
+      width_ = w;
+    }
+    return v;
+  }
+
+  Byte new_byte(bool padable) {
+    Byte b{};
+    for (std::size_t bit = 0; bit < 8; ++bit) b[bit] = add_var(padable);
+    return b;
+  }
+
+  /// Rewrites node p to the pure linear combination of `vars`. Takes effect
+  /// for the rest of the cone at the next refresh().
+  void force(std::uint32_t p, std::span<const std::size_t> vars) {
+    s_.forced[p] = 1;
+    s_.forced_list.push_back(p);
+    std::fill_n(lin(p), 2 * width_, 0);
+    for (const std::size_t v : vars) set_bit(lin(p), v);
+    s_.changed[p] = 1;
+    dirty_from_ = std::min(dirty_from_, p);
+  }
+
+  /// Recomputes the fan-out of the nodes forced since the last refresh, up
+  /// to where their (L, N) stop changing.
+  void refresh() {
+    s_.tmp.resize(2 * width_);
+    std::uint64_t* t = s_.tmp.data();
+    for (std::uint32_t i = dirty_from_; i < n_; ++i) {
+      if (s_.forced[i]) continue;
+      const Node& node = s_.nodes[i];
+      bool dirty = false;
+      for (std::size_t k = 0; k < node.arity; ++k)
+        dirty = dirty || s_.changed[node.fanin[k]];
+      if (!dirty) continue;
+      eval_node(i, t);
+      if (std::equal(t, t + 2 * width_, lin(i))) continue;
+      std::copy_n(t, 2 * width_, lin(i));
+      s_.changed[i] = 1;
+    }
+    if (dirty_from_ < n_)
+      std::fill(s_.changed.begin() + dirty_from_, s_.changed.begin() + n_, 0);
+    dirty_from_ = n_;
+    dom_valid_ = false;
+  }
+
+  bool terminal(std::uint32_t p) const {
+    return s_.forced[p] || s_.nodes[p].kind == GateKind::kInput;
+  }
+
+  /// True when some element depends on variable f.
+  bool observed(std::size_t f) {
+    for (const std::uint32_t e : s_.elements)
+      if (test_bit(lin(e), f) || test_bit(nonlin(e), f)) return true;
+    return false;
+  }
+
+  // --- dominator-based cut search ---------------------------------------------
+  //
+  // The graph has a virtual root (position n_) with an edge to every
+  // element, and an edge from each non-terminal node to its fanins; forced
+  // nodes and inputs are terminals. Edges always descend in cone position,
+  // so one sweep from the top computes immediate dominators, and every
+  // dominator of a node sits at a strictly larger position.
+
+  /// The nearest common dominator of nodes a and b.
+  std::uint32_t meet(std::uint32_t a, std::uint32_t b) const {
+    while (a != b) {
+      if (a < b)
+        a = s_.idom[a];
+      else
+        b = s_.idom[b];
+    }
+    return a;
+  }
+
+  void build_dominators() {
+    if (dom_valid_) return;
+    s_.idom.assign(n_, kNone);
+    for (const std::uint32_t e : s_.elements) s_.idom[e] = n_;
+    for (std::uint32_t u = n_; u-- > 0;) {
+      if (s_.idom[u] == kNone || terminal(u)) continue;
+      const Node& node = s_.nodes[u];
+      for (std::size_t k = 0; k < node.arity; ++k) {
+        std::uint32_t& d = s_.idom[node.fanin[k]];
+        d = d == kNone ? u : meet(d, u);
+      }
+    }
+    dom_valid_ = true;
+  }
+
+  /// The most downstream valid cut node for padable variable f, or kNone.
+  /// A node i cuts f when i = f XOR (rest without f) and every reachable
+  /// source of f (its input node, or the forced nodes that emit it) lies
+  /// below i on every path from the tuple — i.e. i dominates all of them,
+  /// so i is an ancestor of their nearest common dominator.
+  std::uint32_t find_cut(std::size_t f) {
+    build_dominators();
+    std::uint32_t lca = kNone;
+    const auto add_source = [&](std::uint32_t p) {
+      if (s_.idom[p] == kNone) return;  // unreachable from the tuple
+      lca = lca == kNone ? p : meet(lca, p);
+    };
+    if (f < leaf_vars_) add_source(s_.leaf_pos[f]);
+    for (const std::uint32_t p : s_.forced_list)
+      if (test_bit(lin(p), f)) add_source(p);
+    std::uint32_t cut = kNone;
+    for (std::uint32_t i = lca; i != kNone && i != n_; i = s_.idom[i]) {
+      // Cutting an input node at itself would be a semantic no-op that
+      // only obscures which physical fresh bit the residual observes.
+      if (terminal(i)) continue;
+      if (test_bit(lin(i), f) && !test_bit(nonlin(i), f)) cut = i;
+    }
+    return cut;
+  }
+
+  // --- set-opaque reachability for the byte rules -----------------------------
+
+  /// Backward reachability from the tuple with the `blocked` nodes treated
+  /// as blind leaves: reach[p] == 1 when node p influences some element.
+  /// Terminals are reached but do not propagate.
+  void compute_reach(std::span<const std::uint32_t> blocked) {
+    std::fill(s_.reach.begin(), s_.reach.begin() + n_, 0);
+    for (const std::uint32_t p : blocked) s_.reach[p] = 2;
+    s_.reach_stack.assign(s_.elements.begin(), s_.elements.end());
+    while (!s_.reach_stack.empty()) {
+      const std::uint32_t p = s_.reach_stack.back();
+      s_.reach_stack.pop_back();
+      if (s_.reach[p]) continue;
+      s_.reach[p] = 1;
+      if (terminal(p)) continue;
+      const Node& node = s_.nodes[p];
+      for (std::size_t k = 0; k < node.arity; ++k)
+        s_.reach_stack.push_back(node.fanin[k]);
+    }
+  }
+
+  /// Variable v reaches the tuple iff one of its sources is reached.
+  bool var_reaches(std::size_t v) {
+    if (v < leaf_vars_ && s_.reach[s_.leaf_pos[v]] == 1) return true;
+    for (const std::uint32_t p : s_.forced_list)
+      if (s_.reach[p] == 1 && test_bit(lin(p), v)) return true;
+    return false;
+  }
+
+  bool matches_nonzero_group(const Byte& g) const {
+    return std::find(s_.nonzero_groups.begin(), s_.nonzero_groups.end(), g) !=
+           s_.nonzero_groups.end();
+  }
+
+  /// Reads an operand bus at a cycle as a pure byte of distinct single
+  /// variables (bit b == exactly one lattice variable, no nonlinear part).
+  bool operand_byte(const std::vector<SignalId>& bus, std::size_t cycle,
+                    Byte& out) {
     for (std::size_t bit = 0; bit < 8; ++bit) {
-      const std::size_t p = mapped_pos(bus[bit], cycle);
-      if (p == SIZE_MAX) return false;
-      const Abs& a = abs[p];
-      if (a.nonlin.any() || a.lin.count() != 1) return false;
-      out[bit] = a.lin.set_bits().front();
+      const std::uint32_t p = mapped_pos(bus[bit], cycle);
+      if (p == kNone) return false;
+      const std::uint64_t* l = lin(p);
+      const std::uint64_t* nl = nonlin(p);
+      std::size_t count = 0;
+      for (std::size_t j = 0; j < width_; ++j) {
+        if (nl[j]) return false;
+        count += static_cast<std::size_t>(common::popcount64(l[j]));
+        if (l[j]) out[bit] = 64 * j + common::ctz64(l[j]);
+      }
+      if (count != 1) return false;
     }
     for (std::size_t i = 0; i < 8; ++i)
       for (std::size_t j = i + 1; j < 8; ++j)
         if (out[i] == out[j]) return false;
     return true;
-  };
+  }
 
-  // --- product-family rule -------------------------------------------------
+  /// Collects the in-cone output positions of gadget g at `cycle` into
+  /// s_.out_pos[base .. base + 8) and appends them to s_.blocked. False
+  /// when one of them is already forced (the instance was rewritten
+  /// before).
+  bool gadget_outputs(const GfGadget& g, std::size_t cycle, std::size_t base) {
+    for (std::size_t bit = 0; bit < 8; ++bit) {
+      const std::uint32_t p = mapped_pos(g.out[bit], cycle);
+      s_.out_pos[base + bit] = p;
+      if (p == kNone) continue;
+      if (s_.forced[p]) return false;
+      s_.blocked.push_back(p);
+    }
+    return true;
+  }
+
+  /// Adds (L | N) of every bit of `bus` at `cycle` to s_.sup; false when a
+  /// bit is outside the cone.
+  bool add_support(const std::vector<SignalId>& bus, std::size_t cycle) {
+    for (std::size_t bit = 0; bit < 8; ++bit) {
+      const std::uint32_t p = mapped_pos(bus[bit], cycle);
+      if (p == kNone) return false;
+      const std::uint64_t* l = lin(p);
+      for (std::size_t j = 0; j < width_; ++j)
+        s_.sup[j] |= l[j] | l[width_ + j];
+    }
+    return true;
+  }
+
+  // --- product-family rule ------------------------------------------------------
   // For a nonzero sharing A_0..A_{S-1} multiplied share-wise by one common
   // nonzero factor B: the products observed by the tuple are replaced when
   // the share operand cones are opaque (reach the tuple only through the
@@ -546,256 +922,164 @@ TupleVerdict TupleAnalyzer::analyze(
   // be opaque and is replaced by S-1 fresh uniform bytes plus their XOR
   // with one fresh nonzero byte; a tuple that sees all S products together
   // with B genuinely learns X'·B and the rule refuses.
-  const auto try_family = [&](const Family& fam, std::size_t cycle) {
+  bool try_family(const Family& fam, std::size_t cycle) {
     const std::size_t S = fam.mul_sites.size();
-    std::vector<std::array<std::size_t, 8>> out_pos(
-        S, {SIZE_MAX, SIZE_MAX, SIZE_MAX, SIZE_MAX, SIZE_MAX, SIZE_MAX,
-            SIZE_MAX, SIZE_MAX});
-    std::vector<char> z_mask(cone.size(), 0);
-    std::vector<std::size_t> in_cone;
+    s_.out_pos.assign(8 * S, kNone);
+    s_.blocked.clear();
+    s_.in_cone.clear();
     for (std::size_t j = 0; j < S; ++j) {
-      const GfGadget& g = *mul_sites_[fam.mul_sites[j]].gadget;
-      bool any = false;
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t p = mapped_pos(g.out[bit], cycle);
-        if (p == SIZE_MAX) continue;
-        if (forced[p]) return false;  // instance already rewritten
-        out_pos[j][bit] = p;
-        z_mask[p] = 1;
-        any = true;
-      }
-      if (any) in_cone.push_back(j);
+      const std::size_t before = s_.blocked.size();
+      if (!gadget_outputs(*a_.mul_sites_[fam.mul_sites[j]].gadget, cycle,
+                          8 * j))
+        return false;
+      if (s_.blocked.size() > before) s_.in_cone.push_back(j);
     }
-    if (in_cone.empty()) return false;
-    const bool full = in_cone.size() == S;
+    if (s_.in_cone.empty()) return false;
+    const bool full = s_.in_cone.size() == S;
 
-    DynamicBitset sup(var_capacity);
-    for (const std::size_t j : in_cone) {
-      const GfGadget& g = *mul_sites_[fam.mul_sites[j]].gadget;
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t p = mapped_pos(g.a[bit], cycle);
-        if (p == SIZE_MAX) return false;
-        sup |= abs[p].lin;
-        sup |= abs[p].nonlin;
-      }
-    }
-    if (full) {
-      const GfGadget& g0 = *mul_sites_[fam.mul_sites.front()].gadget;
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t p = mapped_pos(g0.b[bit], cycle);
-        if (p == SIZE_MAX) return false;
-        sup |= abs[p].lin;
-        sup |= abs[p].nonlin;
-      }
-    }
-    compute_reach(&z_mask);
-    for (const std::size_t v : sup.set_bits())
-      if (var_reaches(v)) return false;
+    s_.sup.assign(width_, 0);
+    for (const std::size_t j : s_.in_cone)
+      if (!add_support(a_.mul_sites_[fam.mul_sites[j]].gadget->a, cycle))
+        return false;
+    if (full &&
+        !add_support(a_.mul_sites_[fam.mul_sites.front()].gadget->b, cycle))
+      return false;
+    compute_reach(s_.blocked);
+    for (std::size_t j = 0; j < width_; ++j)
+      for (std::uint64_t w = s_.sup[j]; w; w &= w - 1)
+        if (var_reaches(64 * j + common::ctz64(w))) return false;
 
     if (full) {
-      std::vector<std::array<std::size_t, 8>> u;
+      std::vector<Byte> u;
       for (std::size_t k = 0; k + 1 < S; ++k) u.push_back(new_byte(true));
-      const std::array<std::size_t, 8> w = new_byte(false);
-      nonzero_groups.push_back(w);
+      const Byte w = new_byte(false);
+      s_.nonzero_groups.push_back(w);
+      std::vector<std::size_t> vars;
       for (std::size_t j = 0; j < S; ++j)
         for (std::size_t bit = 0; bit < 8; ++bit) {
-          const std::size_t p = out_pos[j][bit];
-          if (p == SIZE_MAX) continue;
-          DynamicBitset lin(var_capacity);
+          const std::uint32_t p = s_.out_pos[8 * j + bit];
+          if (p == kNone) continue;
+          vars.clear();
           if (j + 1 < S) {
-            lin.set(u[j][bit]);
+            vars.push_back(u[j][bit]);
           } else {
-            for (std::size_t k = 0; k + 1 < S; ++k) lin.set(u[k][bit]);
-            lin.set(w[bit]);
+            for (std::size_t k = 0; k + 1 < S; ++k) vars.push_back(u[k][bit]);
+            vars.push_back(w[bit]);
           }
-          force_node(p, lin);
+          force(p, vars);
         }
     } else {
-      for (const std::size_t j : in_cone) {
-        const std::array<std::size_t, 8> u = new_byte(true);
+      for (const std::size_t j : s_.in_cone) {
+        const Byte u = new_byte(true);
         for (std::size_t bit = 0; bit < 8; ++bit) {
-          const std::size_t p = out_pos[j][bit];
-          if (p == SIZE_MAX) continue;
-          DynamicBitset lin(var_capacity);
-          lin.set(u[bit]);
-          force_node(p, lin);
+          const std::uint32_t p = s_.out_pos[8 * j + bit];
+          if (p != kNone) force(p, {&u[bit], 1});
         }
       }
     }
-    if (debug)
+    if (a_.debug_)
       std::fprintf(stderr, "family rule: %zu/%zu products @%zu (%s)\n",
-                   in_cone.size(), S, cycle, full ? "full" : "subset");
-    recompute();
-    ++verdict.cuts_applied;
+                   s_.in_cone.size(), S, cycle, full ? "full" : "subset");
+    refresh();
+    ++verdict_.cuts_applied;
     return true;
-  };
-
-  // --- multiplier rule -----------------------------------------------------
-  // Z = A·B with A a byte of 8 distinct fresh variables observed only
-  // through Z, and B tracing to a nonzero mask: conditioned on B = b != 0,
-  // A ↦ A·b is a bijection, so Z is a fresh byte of A's support class
-  // (uniform stays uniform, nonzero stays nonzero) independent of the rest
-  // of the tuple — even when B itself is exposed.
-  const auto try_mul = [&](const MulSite& site, std::size_t cycle) {
-    const GfGadget& g = *site.gadget;
-    std::array<std::size_t, 8> out_pos{SIZE_MAX, SIZE_MAX, SIZE_MAX,
-                                       SIZE_MAX, SIZE_MAX, SIZE_MAX,
-                                       SIZE_MAX, SIZE_MAX};
-    std::vector<char> z_mask(cone.size(), 0);
-    bool any = false;
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      const std::size_t p = mapped_pos(g.out[bit], cycle);
-      if (p == SIZE_MAX) continue;
-      if (forced[p]) return false;
-      out_pos[bit] = p;
-      z_mask[p] = 1;
-      any = true;
-    }
-    if (!any) return false;
-    std::array<std::size_t, 8> avars{};
-    if (!operand_byte(g.a, cycle, avars)) return false;
-    bool uniform = true;
-    for (const std::size_t v : avars)
-      uniform = uniform && vars[v].fresh && vars[v].padable;
-    const bool nonzero = !uniform && matches_nonzero_group(avars);
-    if (!uniform && !nonzero) return false;
-    compute_reach(&z_mask);
-    for (const std::size_t v : avars)
-      if (var_reaches(v)) return false;
-    const std::array<std::size_t, 8> nb = new_byte(uniform);
-    if (!uniform) nonzero_groups.push_back(nb);
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      if (out_pos[bit] == SIZE_MAX) continue;
-      DynamicBitset lin(var_capacity);
-      lin.set(nb[bit]);
-      force_node(out_pos[bit], lin);
-    }
-    if (debug)
-      std::fprintf(stderr, "mul rule: %s @%zu (%s operand)\n",
-                   unl.signal_name(unrolled_->map[cycle][g.out[0]]).c_str(),
-                   cycle, uniform ? "uniform" : "nonzero");
-    recompute();
-    ++verdict.cuts_applied;
-    return true;
-  };
-
-  // --- inverse/square rule -------------------------------------------------
-  // Both maps are bijections of GF(2^8) preserving GF(256)*: a fresh
-  // operand byte observed only through the output becomes a fresh byte of
-  // the same support class.
-  const auto try_unary = [&](const UnarySite& site, std::size_t cycle) {
-    const GfGadget& g = *site.gadget;
-    std::array<std::size_t, 8> out_pos{SIZE_MAX, SIZE_MAX, SIZE_MAX,
-                                       SIZE_MAX, SIZE_MAX, SIZE_MAX,
-                                       SIZE_MAX, SIZE_MAX};
-    std::vector<char> z_mask(cone.size(), 0);
-    bool any = false;
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      const std::size_t p = mapped_pos(g.out[bit], cycle);
-      if (p == SIZE_MAX) continue;
-      if (forced[p]) return false;
-      out_pos[bit] = p;
-      z_mask[p] = 1;
-      any = true;
-    }
-    if (!any) return false;
-    std::array<std::size_t, 8> avars{};
-    if (!operand_byte(g.a, cycle, avars)) return false;
-    bool uniform = true;
-    for (const std::size_t v : avars)
-      uniform = uniform && vars[v].fresh && vars[v].padable;
-    const bool nonzero = !uniform && matches_nonzero_group(avars);
-    if (!uniform && !nonzero) return false;
-    compute_reach(&z_mask);
-    for (const std::size_t v : avars)
-      if (var_reaches(v)) return false;
-    const std::array<std::size_t, 8> nb = new_byte(uniform);
-    if (!uniform) nonzero_groups.push_back(nb);
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      if (out_pos[bit] == SIZE_MAX) continue;
-      DynamicBitset lin(var_capacity);
-      lin.set(nb[bit]);
-      force_node(out_pos[bit], lin);
-    }
-    if (debug)
-      std::fprintf(stderr, "%s rule: @%zu (%s operand)\n",
-                   g.kind == GfGadgetKind::kInv ? "inv" : "square", cycle,
-                   uniform ? "uniform" : "nonzero");
-    recompute();
-    ++verdict.cuts_applied;
-    return true;
-  };
-
-  // --- OTP elimination + byte rules to a joint fixpoint --------------------
-  std::vector<char> single_mask(cone.size(), 0);
-  for (;;) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t f = 0; f < vars.size(); ++f) {
-        if (!vars[f].fresh || !vars[f].padable) continue;
-        // Skip variables that no element observes at all.
-        bool observed = false;
-        for (const SignalId e : element_ids) {
-          const Abs& a = abs[cone_pos.at(e)];
-          if (a.lin.test(f) || a.nonlin.test(f)) {
-            observed = true;
-            break;
-          }
-        }
-        if (!observed) continue;
-        // Latest-first: cutting the most downstream valid node absorbs the
-        // largest subexpression.
-        for (std::size_t i = cone.size(); i-- > 0;) {
-          if (forced[i]) continue;
-          // Cutting an input node at itself would be a semantic no-op that
-          // only obscures which physical fresh bit the residual observes.
-          if (unl.kind(cone[i]) == GateKind::kInput) continue;
-          if (!abs[i].lin.test(f) || abs[i].nonlin.test(f)) continue;
-          single_mask[i] = 1;
-          compute_reach(&single_mask);
-          single_mask[i] = 0;
-          if (var_reaches(f)) continue;
-          // Valid cut: node i = f XOR (rest without f), and f reaches the
-          // tuple only through node i. Replace it by a virtual fresh var.
-          if (debug)
-            std::fprintf(stderr, "cut: var %zu (%s) at node %s\n", f,
-                         vars[f].input == netlist::kNoSignal
-                             ? "virtual"
-                             : unl.signal_name(vars[f].input).c_str(),
-                         unl.signal_name(cone[i]).c_str());
-          const std::size_t virt = vars.size();
-          vars.push_back(Var{true, true, netlist::kNoSignal});
-          require(vars.size() <= var_capacity,
-                  "TupleAnalyzer: virtual variable overflow");
-          DynamicBitset lin(var_capacity);
-          lin.set(virt);
-          force_node(i, lin);
-          recompute();
-          ++verdict.cuts_applied;
-          changed = true;
-          break;
-        }
-      }
-    }
-    bool fired = false;
-    for (const Inst& inst : insts) {
-      switch (inst.kind) {
-        case Inst::Kind::kFamily:
-          fired = try_family(families_[inst.index], inst.cycle) || fired;
-          break;
-        case Inst::Kind::kMul:
-          fired = try_mul(mul_sites_[inst.index], inst.cycle) || fired;
-          break;
-        case Inst::Kind::kUnary:
-          fired = try_unary(unary_sites_[inst.index], inst.cycle) || fired;
-          break;
-      }
-    }
-    if (!fired) break;
   }
 
-  // --- element-level Gaussian elimination ---------------------------------
+  // --- multiplier and inverse/square rules ------------------------------------
+  // Multiplier: Z = A·B with A a byte of 8 distinct fresh variables observed
+  // only through Z, and B tracing to a nonzero mask: conditioned on
+  // B = b != 0, A ↦ A·b is a bijection, so Z is a fresh byte of A's support
+  // class (uniform stays uniform, nonzero stays nonzero) independent of the
+  // rest of the tuple — even when B itself is exposed. Inverse and square
+  // are bijections of GF(2^8) preserving GF(256)*, so the same holds for
+  // their output.
+  bool try_bijection(const GfGadget& g, std::size_t cycle) {
+    s_.out_pos.assign(8, kNone);
+    s_.blocked.clear();
+    if (!gadget_outputs(g, cycle, 0) || s_.blocked.empty()) return false;
+    Byte avars{};
+    if (!operand_byte(g.a, cycle, avars)) return false;
+    bool uniform = true;
+    for (const std::size_t v : avars)
+      uniform = uniform && s_.vars[v].fresh && s_.vars[v].padable;
+    const bool nonzero = !uniform && matches_nonzero_group(avars);
+    if (!uniform && !nonzero) return false;
+    compute_reach(s_.blocked);
+    for (const std::size_t v : avars)
+      if (var_reaches(v)) return false;
+    const Byte nb = new_byte(uniform);
+    if (!uniform) s_.nonzero_groups.push_back(nb);
+    for (std::size_t bit = 0; bit < 8; ++bit)
+      if (s_.out_pos[bit] != kNone) force(s_.out_pos[bit], {&nb[bit], 1});
+    if (a_.debug_) {
+      if (g.kind == GfGadgetKind::kMul)
+        std::fprintf(
+            stderr, "mul rule: %s @%zu (%s operand)\n",
+            unl_.signal_name(a_.unrolled_->map[cycle][g.out[0]]).c_str(),
+            cycle, uniform ? "uniform" : "nonzero");
+      else
+        std::fprintf(stderr, "%s rule: @%zu (%s operand)\n",
+                     g.kind == GfGadgetKind::kInv ? "inv" : "square", cycle,
+                     uniform ? "uniform" : "nonzero");
+    }
+    refresh();
+    ++verdict_.cuts_applied;
+    return true;
+  }
+
+  std::string var_name(std::size_t f) const {
+    return s_.vars[f].input == netlist::kNoSignal
+               ? std::string("virtual")
+               : unl_.signal_name(s_.vars[f].input);
+  }
+
+  // --- OTP elimination + byte rules to a joint fixpoint -----------------------
+  void fixpoint() {
+    for (;;) {
+      bool changed = true;
+      while (changed) {
+        changed = false;
+        for (std::size_t f = 0; f < s_.vars.size(); ++f) {
+          if (!s_.vars[f].fresh || !s_.vars[f].padable) continue;
+          if (!observed(f)) continue;
+          const std::uint32_t i = find_cut(f);
+          if (i == kNone) continue;
+          // Valid cut: node i = f XOR (rest without f), and f reaches the
+          // tuple only through node i. Replace it by a virtual fresh var.
+          if (a_.debug_)
+            std::fprintf(stderr, "cut: var %zu (%s) at node %s\n", f,
+                         var_name(f).c_str(),
+                         unl_.signal_name(s_.cone[i]).c_str());
+          const std::size_t virt = add_var(true);
+          force(i, {&virt, 1});
+          refresh();
+          ++verdict_.cuts_applied;
+          changed = true;
+        }
+      }
+      bool fired = false;
+      for (const RuleInst& inst : s_.insts) {
+        switch (inst.kind) {
+          case RuleInst::Kind::kFamily:
+            fired = try_family(a_.families_[inst.index], inst.cycle) || fired;
+            break;
+          case RuleInst::Kind::kMul:
+            fired = try_bijection(*a_.mul_sites_[inst.index].gadget,
+                                  inst.cycle) ||
+                    fired;
+            break;
+          case RuleInst::Kind::kUnary:
+            fired = try_bijection(*a_.unary_sites_[inst.index].gadget,
+                                  inst.cycle) ||
+                    fired;
+            break;
+        }
+      }
+      if (!fired) break;
+    }
+  }
+
+  // --- element-level Gaussian elimination --------------------------------------
   // The adversary's view is the *tuple* of element values, and any
   // invertible XOR transform across elements is a bijection of that view —
   // security is exactly preserved in both directions. So a fresh variable
@@ -812,129 +1096,140 @@ TupleVerdict TupleAnalyzer::analyze(
   // Non-padable variables are skipped outright: a biased bit is no pad,
   // and even "cleaning" other rows with its pivot could oscillate against
   // the byte-correlated siblings.
-  std::vector<Abs> rows;
-  rows.reserve(element_ids.size());
-  for (const SignalId e : element_ids) rows.push_back(abs[cone_pos.at(e)]);
-  {
-    std::vector<bool> row_done(rows.size(), false);
+  std::uint64_t* row_lin(std::size_t r) { return &s_.rows[2 * r * width_]; }
+  std::uint64_t* row_nonlin(std::size_t r) { return row_lin(r) + width_; }
+  bool row_depends(std::size_t r, std::size_t v) {
+    return test_bit(row_lin(r), v) || test_bit(row_nonlin(r), v);
+  }
+
+  void eliminate_rows() {
+    const std::size_t rows = s_.elements.size();
+    s_.rows.resize(2 * rows * width_);
+    for (std::size_t r = 0; r < rows; ++r)
+      std::copy_n(lin(s_.elements[r]), 2 * width_, row_lin(r));
+    s_.row_done.assign(rows, 0);
     bool row_changed = true;
     while (row_changed) {
       row_changed = false;
-      for (std::size_t f = 0; f < vars.size(); ++f) {
-        if (!vars[f].fresh || !vars[f].padable) continue;
+      for (std::size_t f = 0; f < s_.vars.size(); ++f) {
+        if (!s_.vars[f].fresh || !s_.vars[f].padable) continue;
         bool blocked = false;
-        std::vector<std::size_t> lin_rows;
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          if (rows[r].nonlin.test(f)) {
+        s_.lin_rows.clear();
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (test_bit(row_nonlin(r), f)) {
             blocked = true;
             break;
           }
-          if (rows[r].lin.test(f)) lin_rows.push_back(r);
+          if (test_bit(row_lin(r), f)) s_.lin_rows.push_back(r);
         }
-        if (blocked || lin_rows.empty()) continue;
-        const std::size_t pivot = lin_rows.front();
+        if (blocked || s_.lin_rows.empty()) continue;
+        const std::size_t pivot = s_.lin_rows.front();
         // A done pivot is already the bare pad {f}; with no other row to
         // clean up there is nothing left to do for this variable.
-        if (lin_rows.size() == 1 && row_done[pivot]) continue;
-        for (std::size_t k = 1; k < lin_rows.size(); ++k) {
-          rows[lin_rows[k]].lin ^= rows[pivot].lin;
-          rows[lin_rows[k]].nonlin |= rows[pivot].nonlin;
+        if (s_.lin_rows.size() == 1 && s_.row_done[pivot]) continue;
+        for (std::size_t k = 1; k < s_.lin_rows.size(); ++k) {
+          std::uint64_t* l = row_lin(s_.lin_rows[k]);
+          const std::uint64_t* pl = row_lin(pivot);
+          for (std::size_t j = 0; j < width_; ++j) {
+            l[j] ^= pl[j];
+            l[width_ + j] |= pl[width_ + j];
+          }
         }
-        if (!row_done[pivot]) {
-          if (debug)
+        if (!s_.row_done[pivot]) {
+          if (a_.debug_)
             std::fprintf(stderr, "row-cut: var %zu (%s) at row %zu\n", f,
-                         vars[f].input == netlist::kNoSignal
-                             ? "virtual"
-                             : unl.signal_name(vars[f].input).c_str(),
-                         pivot);
-          rows[pivot].lin = DynamicBitset(var_capacity);
-          rows[pivot].lin.set(f);
-          rows[pivot].nonlin = DynamicBitset(var_capacity);
-          row_done[pivot] = true;
-          ++verdict.cuts_applied;
+                         var_name(f).c_str(), pivot);
+          std::fill_n(row_lin(pivot), 2 * width_, 0);
+          set_bit(row_lin(pivot), f);
+          s_.row_done[pivot] = 1;
+          ++verdict_.cuts_applied;
         }
         row_changed = true;
       }
     }
   }
 
-  // --- non-completeness check on the residual ----------------------------
-  // Union of per-row dependencies, and per-row dependency sets for witness
-  // attribution (rows are the Gaussian-transformed elements).
-  std::vector<DynamicBitset> elem_deps;
-  elem_deps.reserve(elements.size());
-  DynamicBitset all_deps(var_capacity);
-  for (const Abs& a : rows) {
-    DynamicBitset d = a.lin;
-    d |= a.nonlin;
-    all_deps |= d;
-    elem_deps.push_back(std::move(d));
+  // --- non-completeness check on the residual ---------------------------------
+  TupleVerdict residual() {
+    const std::size_t rows = s_.elements.size();
+    // Union of the per-row dependencies (rows are the Gaussian-transformed
+    // elements).
+    s_.sup.assign(width_, 0);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < width_; ++j)
+        s_.sup[j] |= row_lin(r)[j] | row_nonlin(r)[j];
+
+    // Observed share variables grouped by sharing instance.
+    s_.members.clear();
+    for (std::size_t v = 0; v < leaf_vars_; ++v)
+      if (!s_.vars[v].fresh && test_bit(s_.sup.data(), v))
+        s_.members.push_back(member(v));
+    std::sort(s_.members.begin(), s_.members.end());
+    for (std::size_t lo = 0, hi; lo < s_.members.size(); lo = hi) {
+      for (hi = lo + 1; hi < s_.members.size() &&
+                        s_.members[hi].same_instance(s_.members[lo]);
+           ++hi) {
+      }
+      if (!completes(lo, hi)) continue;
+      CompletedSharing c;
+      c.secret = s_.members[lo].secret;
+      c.bit = s_.members[lo].bit;
+      c.cycle = s_.members[lo].cycle;
+      for (std::size_t e = 0; e < rows; ++e)
+        for (std::size_t k = lo; k < hi; ++k)
+          if (row_depends(e, s_.members[k].var)) {
+            c.elements.push_back(e);
+            break;
+          }
+      if (c.cycle == a_.last_cycle_) verdict_.raw_share_path = true;
+      verdict_.completed.push_back(std::move(c));
+    }
+    verdict_.secure = verdict_.completed.empty();
+    if (verdict_.secure) return std::move(verdict_);
+
+    // Residual contributing elements, and the fresh bits they share — the
+    // randomness-reuse witnesses the findings report.
+    s_.contributing.assign(rows, 0);
+    for (const CompletedSharing& c : verdict_.completed)
+      for (const std::size_t e : c.elements) s_.contributing[e] = 1;
+    for (std::size_t e = 0; e < rows; ++e)
+      if (s_.contributing[e]) verdict_.residual_elements.push_back(e);
+
+    for (std::size_t f = 0; f < leaf_vars_; ++f) {
+      if (!s_.vars[f].fresh) continue;
+      SharedFresh sf;
+      for (const std::size_t e : verdict_.residual_elements)
+        if (row_depends(e, f)) sf.elements.push_back(e);
+      if (sf.elements.empty()) continue;
+      const std::size_t ii = a_.input_index_[s_.vars[f].input];
+      sf.input = a_.unrolled_->input_original[ii];
+      sf.cycle = a_.unrolled_->input_cycle[ii];
+      sf.nonzero = a_.input_nonzero_[ii];
+      // A plain fresh bit is a *reuse* witness: it only matters when at
+      // least two residual elements share it. A nonzero-constrained bit is
+      // a hazard witness on its own — its bias, not reuse, is what defeats
+      // the XOR pad — so it is recorded even when one element touches it.
+      if (!sf.nonzero && sf.elements.size() < 2) continue;
+      verdict_.shared_fresh.push_back(std::move(sf));
+    }
+    return std::move(verdict_);
   }
 
-  // Group observed share variables by sharing instance (secret, bit, cycle).
-  struct Bucket {
-    std::vector<std::uint32_t> shares;
-    std::vector<std::size_t> vars;
-  };
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::size_t>, Bucket>
-      buckets;
-  for (std::size_t v = 0; v < leaf_vars; ++v) {
-    if (vars[v].fresh || !all_deps.test(v)) continue;
-    const std::size_t ii = input_index_[vars[v].input];
-    const netlist::ShareLabel& label =
-        unl.inputs()[ii].share;  // unroll preserves the original label
-    const std::size_t cycle = unrolled_->input_cycle[ii];
-    Bucket& b = buckets[{label.secret, label.bit, cycle}];
-    if (std::find(b.shares.begin(), b.shares.end(), label.share) ==
-        b.shares.end())
-      b.shares.push_back(label.share);
-    b.vars.push_back(v);
-  }
+  const TupleAnalyzer& a_;
+  Scratch& s_;
+  const Netlist& unl_;
+  std::uint32_t n_ = 0;          ///< cone size; also the virtual root
+  std::size_t leaf_vars_ = 0;
+  std::size_t width_ = 0;        ///< words per L or N set
+  std::uint32_t dirty_from_ = 0; ///< lowest position forced since refresh()
+  bool dom_valid_ = false;
+  TupleVerdict verdict_;
+};
 
-  for (const auto& [key, bucket] : buckets) {
-    const auto [secret, bit, cycle] = key;
-    if (bucket.shares.size() < original_->share_count(secret)) continue;
-    CompletedSharing c;
-    c.secret = secret;
-    c.bit = bit;
-    c.cycle = cycle;
-    for (std::size_t e = 0; e < elements.size(); ++e)
-      for (const std::size_t v : bucket.vars)
-        if (elem_deps[e].test(v)) {
-          c.elements.push_back(e);
-          break;
-        }
-    if (cycle == last_cycle_) verdict.raw_share_path = true;
-    verdict.completed.push_back(std::move(c));
-  }
-  verdict.secure = verdict.completed.empty();
-  if (verdict.secure) return verdict;
-
-  // Residual contributing elements, and the fresh bits they share — the
-  // randomness-reuse witnesses the findings report.
-  DynamicBitset contributing(elements.size());
-  for (const CompletedSharing& c : verdict.completed)
-    for (const std::size_t e : c.elements) contributing.set(e);
-  verdict.residual_elements = contributing.set_bits();
-
-  for (std::size_t f = 0; f < leaf_vars; ++f) {
-    if (!vars[f].fresh) continue;
-    SharedFresh sf;
-    for (const std::size_t e : verdict.residual_elements)
-      if (elem_deps[e].test(f)) sf.elements.push_back(e);
-    if (sf.elements.empty()) continue;
-    const std::size_t ii = input_index_[vars[f].input];
-    sf.input = unrolled_->input_original[ii];
-    sf.cycle = unrolled_->input_cycle[ii];
-    sf.nonzero = original_->in_nonzero_bus(sf.input);
-    // A plain fresh bit is a *reuse* witness: it only matters when at
-    // least two residual elements share it. A nonzero-constrained bit is a
-    // hazard witness on its own — its bias, not reuse, is what defeats the
-    // XOR pad — so it is recorded even when one element touches it.
-    if (!sf.nonzero && sf.elements.size() < 2) continue;
-    verdict.shared_fresh.push_back(std::move(sf));
-  }
-  return verdict;
+TupleVerdict TupleAnalyzer::analyze(
+    const std::vector<TupleElement>& elements) const {
+  thread_local Scratch scratch;
+  return Pass(*this, scratch).run(elements);
 }
 
 }  // namespace sca::lint

@@ -43,7 +43,7 @@
 //     support.
 //
 // Every gadget annotation is re-verified in the TupleAnalyzer constructor
-// by exhaustive bit-parallel simulation against the golden gf:: arithmetic
+// by exhaustive bit-parallel simulation against golden GF(2^8) bit-planes
 // — the rules never trust the builder's wiring, only the *distribution*
 // contracts of the randomness annotations (which the harness enforces).
 //
@@ -57,7 +57,12 @@
 //     remaining tuple; v is replaced by a *virtual* fresh variable and the
 //     analysis iterates. Virtual variables can seed further cuts. The
 //     node cuts and the byte-level gadget rules alternate to a joint
-//     fixpoint.
+//     fixpoint. "Every influence flows through v" is dominance: on the
+//     cone graph rooted at a virtual node over the tuple elements (forced
+//     nodes and inputs are terminals), v must dominate every reachable
+//     source of f, so the cut search walks the dominator tree upward from
+//     the sources' common dominator and takes the most downstream node
+//     with f in L \ N.
 //   * Non-completeness: at the fixpoint, the tuple is independent of every
 //     secret if for each sharing instance (secret, bit, cycle) at least
 //     one share is absent from the residual dependency union — fresh
@@ -75,6 +80,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,18 +141,22 @@ struct TupleVerdict {
 
 /// Per-tuple lattice analyzer. Construct once per netlist (the unrolling,
 /// supports, and gadget verification are reused across all tuples), then
-/// call analyze() per observation tuple.
+/// call analyze() per observation tuple. analyze() may run concurrently on
+/// several threads; its cost is proportional to the tuple's cone, on
+/// per-thread scratch that is reused from call to call.
 ///
 /// The constructor re-verifies every netlist::GfGadget annotation by
-/// exhaustive simulation and throws common::Error when a declared byte
-/// structure does not compute the golden GF(2^8) function — a builder bug,
-/// never a lintable condition.
+/// exhaustive simulation (on `threads` workers, 0 = common::resolve_threads)
+/// and throws common::Error when a declared byte structure does not compute
+/// the golden GF(2^8) function — a builder bug, never a lintable condition.
+/// Setting the SCA_LINT_DEBUG environment variable before construction
+/// traces every cut and rule firing to stderr.
 class TupleAnalyzer {
  public:
   /// `unrolled` must come from verif::unroll(original, cycles) with
   /// cycles > sequential_depth(original) + the largest cycle_back used.
   TupleAnalyzer(const netlist::Netlist& original,
-                const verif::Unrolled& unrolled);
+                const verif::Unrolled& unrolled, unsigned threads = 0);
 
   TupleVerdict analyze(const std::vector<TupleElement>& elements) const;
 
@@ -154,6 +164,9 @@ class TupleAnalyzer {
   std::size_t probe_cycle() const { return last_cycle_; }
 
  private:
+  class Pass;      // one analyze() call (lattice.cpp)
+  struct Scratch;  // per-thread buffers reused across analyze() calls
+
   /// A structurally-verified multiplier annotation. `factor_nonzero` is
   /// true when the b operand traces (through registers/buffers, bit
   /// aligned) to an annotated nonzero randomness bus.
@@ -172,14 +185,38 @@ class TupleAnalyzer {
     std::vector<std::size_t> mul_sites;  ///< per-share index into mul_sites_
   };
 
+  /// A byte-level rule instance: a family, multiplier or inverse/square
+  /// site at one unrolled cycle. Instances are tried in (cycle, kind,
+  /// index) order.
+  struct RuleInst {
+    enum class Kind : std::uint8_t { kFamily, kMul, kUnary };
+    std::uint32_t cycle = 0;
+    Kind kind = Kind::kFamily;
+    std::uint32_t index = 0;
+    auto operator<=>(const RuleInst&) const = default;
+  };
+
   const netlist::Netlist* original_;
   const verif::Unrolled* unrolled_;
   std::size_t last_cycle_ = 0;
+  bool debug_ = false;
   /// Unrolled input signal id -> index into unrolled_->nl.inputs().
   std::vector<std::size_t> input_index_;  // SIZE_MAX where not an input
+  /// Per unrolled input: a bit of an annotated nonzero bus.
+  std::vector<char> input_nonzero_;
+  /// Netlist::share_count of every secret group.
+  std::vector<std::uint32_t> share_counts_;
   std::vector<MulSite> mul_sites_;
   std::vector<UnarySite> unary_sites_;
   std::vector<Family> families_;
+  /// Rule instances with an output bit at unrolled signal s:
+  /// rule_insts_[rule_offsets_[s] .. rule_offsets_[s + 1]).
+  std::vector<std::uint32_t> rule_offsets_;
+  std::vector<RuleInst> rule_insts_;
+  /// Unrolled instances of the annotated nonzero buses (8 input signals,
+  /// bit 0 first), indexed by their bit-0 signal like rule_insts_.
+  std::vector<std::uint32_t> nonzero_offsets_;
+  std::vector<std::array<netlist::SignalId, 8>> nonzero_instances_;
 };
 
 }  // namespace sca::lint

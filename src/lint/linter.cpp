@@ -143,65 +143,31 @@ LintCertificate make_certificate(const verif::ProbeDistributionEngine& engine,
   return cert;
 }
 
-}  // namespace
-
-std::pair<Netlist, SignalId> pair_probe_netlist(const Netlist& nl, SignalId a,
-                                                SignalId b) {
-  Netlist out = nl;
-  const SignalId combiner = out.and_(a, b);
-  out.name_signal(combiner, "lint2.pair(" + nl.signal_name(a) + "&" +
-                                nl.signal_name(b) + ")");
-  return {std::move(out), combiner};
-}
-
-LintReport run_lint(const Netlist& nl, const LintOptions& options) {
-  common::require(options.order >= 1 && options.order <= 2,
-                  "lint: supported orders are 1 and 2");
+/// Analyzes every deduplicated probe (or probe pair) of the pipeline
+/// `work` and appends the findings and counters to `report`. Everything the
+/// analysis builds (unrolling, supports, analyzer, work items) is released
+/// on return, before certification builds its own exact engines.
+void analyze_probes(const Netlist& work, const std::vector<SignalId>& held,
+                    std::size_t depth, const LintOptions& options,
+                    LintReport& report) {
   const bool transition = options.model == LintModel::kGlitchTransition;
-
-  // Feedback handling. kReject keeps the pipeline-only contract (the
-  // sequential_depth error propagates, same as verif::exact); kSlice cuts a
-  // feedback design at its state registers and lints the slice, with the
-  // cut inputs *held* across the unroll window like the registers they
-  // replace.
-  std::optional<netlist::Slice> slice;
-  const Netlist* work = &nl;
-  std::vector<SignalId> held;
-  std::size_t depth = 0;
-  if (options.feedback == FeedbackMode::kSlice) {
-    bool feedback = false;
-    try {
-      depth = verif::sequential_depth(nl);
-    } catch (const common::Error&) {
-      feedback = true;
-    }
-    if (feedback) {
-      slice.emplace(netlist::extract_slice(nl));
-      work = &slice->nl;
-      held = slice->held_inputs;
-      depth = verif::sequential_depth(*work);
-    }
-  } else {
-    depth = verif::sequential_depth(nl);
-  }
-
   // +1 cycle so the probe cycle is past the pipeline's cold start, +1 more
   // so the transition-extended previous cycle is too.
   const std::size_t cycles = depth + 1 + (transition ? 1 : 0);
-  const verif::Unrolled unrolled = verif::unroll(*work, cycles, held);
-  const netlist::StableSupport supports(*work);
-  const TupleAnalyzer analyzer(*work, unrolled);
+  const verif::Unrolled unrolled = verif::unroll(work, cycles, held);
+  const netlist::StableSupport supports(work);
+  const TupleAnalyzer analyzer(work, unrolled, options.threads);
 
   // Deduplicated probe universe, same semantics as eval's
   // build_probe_universe (not reused to keep lint independent of core):
   // probes observing identical stable sets collapse, named representatives
   // preferred.
   std::map<std::vector<SignalId>, SignalId> unique;
-  for (SignalId id = 0; id < work->size(); ++id) {
-    const GateKind k = work->kind(id);
+  for (SignalId id = 0; id < work.size(); ++id) {
+    const GateKind k = work.kind(id);
     if (k == GateKind::kConst0 || k == GateKind::kConst1) continue;
     if (!options.scope_filter.empty() || !options.scope_contains.empty()) {
-      const auto name = work->explicit_name(id);
+      const auto name = work.explicit_name(id);
       if (!name) continue;
       if (!options.scope_filter.empty() &&
           name->rfind(options.scope_filter, 0) != 0)
@@ -215,16 +181,11 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
       observed.push_back(supports.stable_points()[idx]);
     if (observed.empty()) continue;
     auto [it, inserted] = unique.try_emplace(std::move(observed), id);
-    if (!inserted && !work->explicit_name(it->second) &&
-        work->explicit_name(id))
+    if (!inserted && !work.explicit_name(it->second) &&
+        work.explicit_name(id))
       it->second = id;
   }
 
-  LintReport report;
-  report.model = options.model;
-  report.order = options.order;
-  report.sliced = slice.has_value();
-  report.cut_registers = slice ? slice->cuts.size() : 0;
   const std::size_t probe_cycle = analyzer.probe_cycle();
 
   std::vector<std::vector<SignalId>> probe_obs;
@@ -276,23 +237,34 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
       }
   }
 
-  auto analyze_item = [&](const WorkItem& item) {
+  // A transition-extended flag can be inherited from the glitch model (then
+  // the glitch verdict carries the sharper witness) or genuinely need the
+  // previous cycle — only the latter is an R4. So a flagged item under
+  // glitch+transition also gets its glitch-only subtuple analyzed, here in
+  // the analysis pass rather than in the serial assembly below.
+  std::vector<TupleVerdict> verdicts(items.size());
+  std::vector<TupleVerdict> glitch_verdicts(transition ? items.size() : 0);
+  auto analyze_item = [&](std::size_t k) {
+    const std::vector<SignalId>& observed = items[k].observed;
     std::vector<TupleElement> tuple;
-    tuple.reserve(item.observed.size() * (transition ? 2 : 1));
-    for (const SignalId s : item.observed) tuple.push_back({s, 0});
+    tuple.reserve(observed.size() * (transition ? 2 : 1));
+    for (const SignalId s : observed) tuple.push_back({s, 0});
     if (transition)
-      for (const SignalId s : item.observed) tuple.push_back({s, 1});
-    return analyzer.analyze(tuple);
+      for (const SignalId s : observed) tuple.push_back({s, 1});
+    verdicts[k] = analyzer.analyze(tuple);
+    if (transition && !verdicts[k].secure) {
+      tuple.resize(observed.size());
+      glitch_verdicts[k] = analyzer.analyze(tuple);
+    }
   };
 
-  std::vector<TupleVerdict> verdicts(items.size());
   std::size_t analyzed = items.size();
   if (options.max_findings) {
     // Deterministic serial sweep with early exit: the prefilter only asks
     // "is there any finding?", so the first flagged set ends the scan.
     std::size_t flagged = 0;
     for (std::size_t k = 0; k < items.size(); ++k) {
-      verdicts[k] = analyze_item(items[k]);
+      analyze_item(k);
       if (!verdicts[k].secure && ++flagged >= options.max_findings) {
         analyzed = k + 1;
         report.truncated = analyzed < items.size();
@@ -300,9 +272,7 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
       }
     }
   } else {
-    common::parallel_for(items.size(), options.threads, [&](std::size_t k) {
-      verdicts[k] = analyze_item(items[k]);
-    });
+    common::parallel_for(items.size(), options.threads, analyze_item);
   }
 
   // Canonicalization map for the pair_cache-off path: only the first pair
@@ -325,17 +295,10 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
     if (verdict.secure) continue;
     ++report.probes_flagged;
 
-    // A transition-extended flag can be inherited from the glitch model
-    // (then the glitch verdict carries the sharper witness) or genuinely
-    // need the previous cycle — only the latter is an R4.
     LintRule rule;
     const TupleVerdict* witness = &verdict;
-    TupleVerdict glitch_verdict;
     if (transition) {
-      std::vector<TupleElement> glitch_tuple;
-      glitch_tuple.reserve(observed.size());
-      for (const SignalId s : observed) glitch_tuple.push_back({s, 0});
-      glitch_verdict = analyzer.analyze(glitch_tuple);
+      const TupleVerdict& glitch_verdict = glitch_verdicts[item_index];
       if (glitch_verdict.secure) {
         rule = LintRule::kR4TransitionHazard;
       } else {
@@ -349,23 +312,23 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
     LintFinding finding;
     finding.rule = rule;
     finding.probe = representative;
-    finding.probe_name = work->signal_name(representative);
+    finding.probe_name = work.signal_name(representative);
     if (item.b != kNoProbe) {
       finding.probe2 = probe_rep[item.b];
-      finding.probe2_name = work->signal_name(finding.probe2);
+      finding.probe2_name = work.signal_name(finding.probe2);
     }
     for (const std::size_t e : witness->residual_elements) {
       const std::size_t back = e / observed.size();  // 0 = probe cycle
       finding.offending.push_back(
-          work->signal_name(observed[e % observed.size()]) +
+          work.signal_name(observed[e % observed.size()]) +
           cycle_suffix(back));
     }
     for (const SharedFresh& sf : witness->shared_fresh)
-      finding.shared_fresh.push_back(work->signal_name(sf.input) +
+      finding.shared_fresh.push_back(work.signal_name(sf.input) +
                                      cycle_suffix(probe_cycle - sf.cycle));
     for (const CompletedSharing& c : witness->completed)
       finding.completed.push_back(common::make_name(
-          work->secret_group_name(c.secret), ".b", c.bit,
+          work.secret_group_name(c.secret), ".b", c.bit,
           cycle_suffix(probe_cycle - c.cycle)));
 
     std::ostringstream msg;
@@ -388,62 +351,113 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options) {
     finding.message = msg.str();
     report.findings.push_back(std::move(finding));
   }
+}
 
-  // --- certification -------------------------------------------------------
-  // Replay every finding through the exact engine built over the same
-  // (possibly sliced) netlist. One engine per probing model amortizes the
-  // unrolling; the per-finding enumerations run in parallel.
-  if (options.certify && !report.findings.empty()) {
-    // Order-2 findings replay through a copy of the (possibly sliced)
-    // netlist where every flagged pair gets an AND combiner: the combiner's
-    // glitch-extended cone is exactly the pair's union observation, so the
-    // unchanged single-probe exact engine certifies the joint distribution.
-    // Signal ids are preserved by the copy, so order-1 findings keep their
-    // probe id on the same netlist and one engine per model serves both.
-    Netlist pair_nl;
-    const Netlist* cert_nl = work;
-    std::vector<SignalId> cert_probe(report.findings.size());
-    bool any_pair = false;
-    for (const LintFinding& f : report.findings)
-      any_pair = any_pair || f.probe2 != netlist::kNoSignal;
-    if (any_pair) {
-      pair_nl = *work;
-      cert_nl = &pair_nl;
-    }
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-      const LintFinding& f = report.findings[i];
-      cert_probe[i] = f.probe2 == netlist::kNoSignal
-                          ? f.probe
-                          : pair_nl.and_(f.probe, f.probe2);
-    }
-    verif::ExactOptions base = options.certify_options;
-    base.held_inputs = held;
-    base.cycles = 0;  // managed here: minimum sound depth per model
-    bool need_glitch = false, need_transition = false;
-    for (const LintFinding& f : report.findings)
-      (f.rule == LintRule::kR4TransitionHazard ? need_transition : need_glitch) =
-          true;
-    std::optional<verif::ProbeDistributionEngine> glitch_engine;
-    std::optional<verif::ProbeDistributionEngine> transition_engine;
-    if (need_glitch) {
-      verif::ExactOptions o = base;
-      o.transitions = false;
-      glitch_engine.emplace(*cert_nl, o);
-    }
-    if (need_transition) {
-      verif::ExactOptions o = base;
-      o.transitions = true;
-      transition_engine.emplace(*cert_nl, o);
-    }
-    common::parallel_for(
-        report.findings.size(), options.threads, [&](std::size_t i) {
-          LintFinding& f = report.findings[i];
-          const verif::ProbeDistributionEngine& engine =
-              f.rule == LintRule::kR4TransitionHazard ? *transition_engine
-                                                      : *glitch_engine;
-          f.certificate = make_certificate(engine, cert_probe[i]);
-        });
+/// Attaches an exact counterexample certificate to every finding: each is
+/// replayed through the exact engine built over the same (possibly sliced)
+/// netlist. One engine per probing model amortizes the unrolling; the
+/// per-finding enumerations run in parallel.
+void certify_findings(const Netlist& work, const std::vector<SignalId>& held,
+                      const LintOptions& options, LintReport& report) {
+  // Order-2 findings replay through a copy of the (possibly sliced)
+  // netlist where every flagged pair gets an AND combiner: the combiner's
+  // glitch-extended cone is exactly the pair's union observation, so the
+  // unchanged single-probe exact engine certifies the joint distribution.
+  // Signal ids are preserved by the copy, so order-1 findings keep their
+  // probe id on the same netlist and one engine per model serves both.
+  Netlist pair_nl;
+  const Netlist* cert_nl = &work;
+  std::vector<SignalId> cert_probe(report.findings.size());
+  bool any_pair = false;
+  for (const LintFinding& f : report.findings)
+    any_pair = any_pair || f.probe2 != netlist::kNoSignal;
+  if (any_pair) {
+    pair_nl = work;
+    cert_nl = &pair_nl;
   }
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    const LintFinding& f = report.findings[i];
+    cert_probe[i] = f.probe2 == netlist::kNoSignal
+                        ? f.probe
+                        : pair_nl.and_(f.probe, f.probe2);
+  }
+  verif::ExactOptions base = options.certify_options;
+  base.held_inputs = held;
+  base.cycles = 0;  // managed here: minimum sound depth per model
+  bool need_glitch = false, need_transition = false;
+  for (const LintFinding& f : report.findings)
+    (f.rule == LintRule::kR4TransitionHazard ? need_transition : need_glitch) =
+        true;
+  std::optional<verif::ProbeDistributionEngine> glitch_engine;
+  std::optional<verif::ProbeDistributionEngine> transition_engine;
+  if (need_glitch) {
+    verif::ExactOptions o = base;
+    o.transitions = false;
+    glitch_engine.emplace(*cert_nl, o);
+  }
+  if (need_transition) {
+    verif::ExactOptions o = base;
+    o.transitions = true;
+    transition_engine.emplace(*cert_nl, o);
+  }
+  common::parallel_for(
+      report.findings.size(), options.threads, [&](std::size_t i) {
+        LintFinding& f = report.findings[i];
+        const verif::ProbeDistributionEngine& engine =
+            f.rule == LintRule::kR4TransitionHazard ? *transition_engine
+                                                    : *glitch_engine;
+        f.certificate = make_certificate(engine, cert_probe[i]);
+      });
+}
+
+}  // namespace
+
+std::pair<Netlist, SignalId> pair_probe_netlist(const Netlist& nl, SignalId a,
+                                                SignalId b) {
+  Netlist out = nl;
+  const SignalId combiner = out.and_(a, b);
+  out.name_signal(combiner, "lint2.pair(" + nl.signal_name(a) + "&" +
+                                nl.signal_name(b) + ")");
+  return {std::move(out), combiner};
+}
+
+LintReport run_lint(const Netlist& nl, const LintOptions& options) {
+  common::require(options.order >= 1 && options.order <= 2,
+                  "lint: supported orders are 1 and 2");
+  // Feedback handling. kReject keeps the pipeline-only contract (the
+  // sequential_depth error propagates, same as verif::exact); kSlice cuts a
+  // feedback design at its state registers and lints the slice, with the
+  // cut inputs *held* across the unroll window like the registers they
+  // replace.
+  std::optional<netlist::Slice> slice;
+  const Netlist* work = &nl;
+  std::vector<SignalId> held;
+  std::size_t depth = 0;
+  if (options.feedback == FeedbackMode::kSlice) {
+    bool feedback = false;
+    try {
+      depth = verif::sequential_depth(nl);
+    } catch (const common::Error&) {
+      feedback = true;
+    }
+    if (feedback) {
+      slice.emplace(netlist::extract_slice(nl));
+      work = &slice->nl;
+      held = slice->held_inputs;
+      depth = verif::sequential_depth(*work);
+    }
+  } else {
+    depth = verif::sequential_depth(nl);
+  }
+
+  LintReport report;
+  report.model = options.model;
+  report.order = options.order;
+  report.sliced = slice.has_value();
+  report.cut_registers = slice ? slice->cuts.size() : 0;
+  analyze_probes(*work, held, depth, options, report);
+  if (options.certify && !report.findings.empty())
+    certify_findings(*work, held, options, report);
   return report;
 }
 

@@ -136,8 +136,9 @@ struct LintOptions {
   /// Enumeration limits for certification (cycles/transitions/held_inputs
   /// are managed by the linter).
   verif::ExactOptions certify_options;
-  /// Worker threads for certification (0 = SCA_THREADS env, else hardware
-  /// concurrency).
+  /// Worker threads for gadget re-verification, the probe analysis (unless
+  /// max_findings makes it a serial sweep) and certification (0 =
+  /// SCA_THREADS env, else hardware concurrency).
   unsigned threads = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "src/stats/pvalue.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <limits>
 
@@ -8,6 +10,14 @@
 namespace sca::stats {
 
 namespace {
+
+// log Gamma(a) for a > 0. std::lgamma also stores the sign of Gamma(a) in
+// the global `signgam`, a data race when campaign workers finalize p-values
+// concurrently; lgamma_r returns the same value without touching it.
+double log_gamma(double a) {
+  int sign = 0;
+  return lgamma_r(a, &sign);
+}
 
 // Log of Q(a, x) via the Lentz continued fraction, valid for x > a + 1.
 double log_gamma_q_cf(double a, double x) {
@@ -32,7 +42,7 @@ double log_gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEps) break;
   }
-  return -x + a * std::log(x) - std::lgamma(a) + std::log(h);
+  return -x + a * std::log(x) - log_gamma(a) + std::log(h);
 }
 
 // Log of P(a, x) via the power series, valid for x < a + 1; the caller
@@ -49,7 +59,7 @@ double log_gamma_p_series(double a, double x) {
     sum += del;
     if (std::fabs(del) < std::fabs(sum) * kEps) break;
   }
-  return -x + a * std::log(x) - std::lgamma(a) + std::log(sum);
+  return -x + a * std::log(x) - log_gamma(a) + std::log(sum);
 }
 
 }  // namespace

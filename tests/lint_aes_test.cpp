@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/report.hpp"
 #include "src/gadgets/masked_aes.hpp"
 #include "src/gadgets/randomness_plan.hpp"
@@ -118,10 +119,18 @@ TEST(LintAes, Eq6FlagsFreshReuseInsideEveryInstanceG7WithCertificates) {
   // Every finding carries a *validated* counterexample certificate: replay
   // the witness through the exact engine on the same slice and check the
   // two secret values really induce different observation distributions.
+  // Each replay unrolls the whole slice, so the replays run in parallel.
   netlist::Slice slice = netlist::extract_slice(nl);
   verif::ExactOptions exact_options;
   exact_options.held_inputs = slice.held_inputs;
-  for (const LintFinding& f : report.findings) {
+  std::vector<std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>>
+      replays(report.findings.size());
+  common::parallel_for(report.findings.size(), 0, [&](std::size_t i) {
+    replays[i] = verif::exact_probe_distribution(
+        slice.nl, report.findings[i].probe, exact_options);
+  });
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    const LintFinding& f = report.findings[i];
     ASSERT_TRUE(f.certificate.has_value()) << f.message;
     const lint::LintCertificate& cert = *f.certificate;
     ASSERT_TRUE(cert.available)
@@ -132,8 +141,7 @@ TEST(LintAes, Eq6FlagsFreshReuseInsideEveryInstanceG7WithCertificates) {
     EXPECT_FALSE(cert.secret_bits.empty());
     EXPECT_FALSE(cert.assignment.empty());
 
-    const auto distributions =
-        verif::exact_probe_distribution(slice.nl, f.probe, exact_options);
+    const auto& distributions = replays[i];
     const auto& dist_a = distributions.at(cert.secret_a);
     const auto& dist_b = distributions.at(cert.secret_b);
     EXPECT_NE(dist_a, dist_b) << f.message;
