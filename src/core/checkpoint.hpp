@@ -21,12 +21,19 @@
 // shards with the thread count) and resumes under any other
 // (tests/checkpoint_test.cpp, Checkpoint.ResumeAcrossThreadCounts).
 //
-// On-disk format: an 8-byte magic, a version word, a length-prefixed
-// payload, and an FNV-1a checksum of the payload; writes go through a
-// temp file + rename so a crash mid-save never corrupts a previous good
-// snapshot. load_checkpoint throws common::Error on any truncation,
-// checksum mismatch, or malformed field — corrupted snapshots are rejected,
-// never interpreted.
+// On-disk format (version 4), inside the envelope every snapshot shares
+// (common/serialize.hpp: 8-byte magic, version word, length-prefixed
+// payload, FNV-1a checksum of the payload, written via a temp file and a
+// rename so a crash mid-save never corrupts a previous good snapshot). The
+// payload holds the cursor and the totals, the finished results, and then
+// every table dense: its key bits, one count-width byte w in {1, 2, 4, 8}
+// (the narrowest width that holds its largest count), and all 2 << key_bits
+// counts little-endian at w bytes each. The bytes are a pure function of
+// the snapshot. A save builds the payload in one buffer; a load reads the
+// file in one read and decodes it in place from a bounds-checked cursor.
+// load_checkpoint throws common::Error on any truncation, checksum
+// mismatch, unsupported version, or malformed field — corrupted snapshots
+// are rejected, never interpreted.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "src/common/check.hpp"
 #include "src/common/names.hpp"
@@ -54,6 +51,7 @@ PlanEvaluation evaluate_kron1_plan(const RandomnessPlan& plan,
     lint_options.model = options.model == ProbeModel::kGlitchTransition
                              ? lint::LintModel::kGlitchTransition
                              : lint::LintModel::kGlitch;
+    lint_options.threads = options.threads;
     const lint::LintReport report = lint::run_lint(nl, lint_options);
     if (!report.clean()) {
       eval.lint_rejected = true;
@@ -260,13 +258,16 @@ SecondOrderCandidateResult evaluate_family13_candidate(
 }
 
 // --- sweep checkpoint -----------------------------------------------------
-// Same envelope discipline as core/checkpoint.cpp (magic, version,
-// length-prefixed payload, FNV-1a checksum, tmp+rename), own format: the
-// payload is the per-candidate verdict list, tiny compared to campaign
+// The shared snapshot envelope (common/serialize.hpp) around this sweep's
+// own payload: the per-candidate verdict list, tiny compared to campaign
 // count tables.
 
-constexpr char kSweepMagic[8] = {'S', 'C', 'A', '2', 'S', 'R', 'C', 'H'};
-constexpr std::uint64_t kSweepVersion = 1;
+constexpr common::SnapshotFormat kSweepFormat{
+    "SCA2SRCH", 1, "search checkpoint", "sweep snapshot",
+    std::uint64_t{1} << 32};
+
+// Smallest encoded candidate: index, two flags, severity, empty probe name.
+constexpr std::size_t kMinCandidateBytes = 26;
 
 std::uint64_t sweep_fingerprint(const SecondOrderSearchOptions& o) {
   return common::Fnv1a()
@@ -295,82 +296,42 @@ struct SweepSnapshot {
 
 void save_sweep_checkpoint(const std::string& path,
                            const SweepSnapshot& snap) {
-  std::ostringstream payload;
-  common::write_u64(payload, snap.fingerprint);
-  common::write_u64(payload, snap.chunks_done);
-  common::write_u64(payload, snap.finished.size());
+  std::string payload;
+  common::put_u64(payload, snap.fingerprint);
+  common::put_u64(payload, snap.chunks_done);
+  common::put_u64(payload, snap.finished.size());
   for (const SecondOrderCandidateResult& r : snap.finished) {
-    common::write_u64(payload, r.index);
-    common::write_u8(payload, r.lint_rejected ? 1 : 0);
-    common::write_u8(payload, r.secure ? 1 : 0);
-    common::write_f64(payload, r.severity);
-    common::write_string(payload, r.worst_probe);
+    common::put_u64(payload, r.index);
+    common::put_u8(payload, r.lint_rejected ? 1 : 0);
+    common::put_u8(payload, r.secure ? 1 : 0);
+    common::put_f64(payload, r.severity);
+    common::put_string(payload, r.worst_probe);
   }
-  const std::string bytes = payload.str();
-  const std::uint64_t checksum =
-      common::Fnv1a().feed_bytes(bytes.data(), bytes.size()).value();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    common::require(os.good(),
-                    "search checkpoint: cannot open " + tmp + " for writing");
-    os.write(kSweepMagic, sizeof(kSweepMagic));
-    common::write_u64(os, kSweepVersion);
-    common::write_u64(os, bytes.size());
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    common::write_u64(os, checksum);
-    os.flush();
-    common::require(os.good(), "search checkpoint: write to " + tmp + " failed");
-  }
-  common::require(std::rename(tmp.c_str(), path.c_str()) == 0,
-                  "search checkpoint: rename to " + path + " failed");
+  common::save_snapshot(path, kSweepFormat, payload);
 }
 
-SweepSnapshot load_sweep_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  common::require(is.good(), "search checkpoint: cannot open " + path);
-  char magic[sizeof(kSweepMagic)];
-  is.read(magic, sizeof(kSweepMagic));
-  common::require(is.gcount() == sizeof(kSweepMagic) &&
-                      std::equal(magic, magic + sizeof(kSweepMagic),
-                                 kSweepMagic),
-                  "search checkpoint: " + path +
-                      " is not a sweep snapshot (bad magic)");
-  common::require(common::read_u64(is) == kSweepVersion,
-                  "search checkpoint: unsupported snapshot version in " + path);
-  const std::uint64_t size = common::read_u64(is);
-  common::require(size <= (std::uint64_t{1} << 32),
-                  "search checkpoint: payload size out of range in " + path);
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(size));
-  common::require(static_cast<std::uint64_t>(is.gcount()) == size,
-                  "search checkpoint: " + path + " is truncated");
-  const std::uint64_t checksum = common::read_u64(is);
-  common::require(
-      checksum ==
-          common::Fnv1a().feed_bytes(bytes.data(), bytes.size()).value(),
-      "search checkpoint: " + path + " is corrupt (checksum mismatch)");
-  std::istringstream payload(bytes);
+SweepSnapshot decode_sweep(common::ByteReader& in) {
   SweepSnapshot snap;
-  snap.fingerprint = common::read_u64(payload);
-  snap.chunks_done = common::read_u64(payload);
-  const std::uint64_t n = common::read_u64(payload);
-  common::require(n <= (std::uint64_t{1} << 24),
+  snap.fingerprint = in.u64();
+  snap.chunks_done = in.u64();
+  const std::uint64_t n = in.u64();
+  common::require(n <= in.remaining() / kMinCandidateBytes,
                   "search checkpoint: candidate count out of range");
   snap.finished.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     SecondOrderCandidateResult r;
-    r.index = common::read_u64(payload);
-    r.lint_rejected = common::read_u8(payload) != 0;
-    r.secure = common::read_u8(payload) != 0;
-    r.severity = common::read_f64(payload);
-    r.worst_probe = common::read_string(payload);
+    r.index = in.u64();
+    r.lint_rejected = in.u8() != 0;
+    r.secure = in.u8() != 0;
+    r.severity = in.f64();
+    r.worst_probe = in.string();
     snap.finished.push_back(std::move(r));
   }
-  payload.peek();
-  common::require(payload.eof(),
-                  "search checkpoint: " + path + " has trailing bytes");
   return snap;
+}
+
+SweepSnapshot load_sweep_checkpoint(const std::string& path) {
+  return common::load_snapshot(path, kSweepFormat, decode_sweep);
 }
 
 }  // namespace

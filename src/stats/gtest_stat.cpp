@@ -1,9 +1,9 @@
 #include "src/stats/gtest_stat.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <cstring>
 
 #include "src/common/bitops.hpp"
 #include "src/common/check.hpp"
@@ -164,41 +164,114 @@ std::uint64_t FlatCountTable::group_total(int group) const {
 
 void FlatCountTable::clear() { std::fill(counts_.begin(), counts_.end(), 0); }
 
-void FlatCountTable::serialize(std::ostream& os) const {
-  common::write_u8(os, static_cast<std::uint8_t>(key_bits_));
-  common::write_u64(os, bin_count());
-  for (std::size_t key = 0; key < counts_.size() / 2; ++key) {
-    if (!counts_[2 * key] && !counts_[2 * key + 1]) continue;
-    common::write_u64(os, key);
-    common::write_u64(os, counts_[2 * key]);
-    common::write_u64(os, counts_[2 * key + 1]);
+namespace {
+
+// Counts travel little-endian at `width` bytes; on a little-endian host
+// both directions are a plain narrowing or widening copy.
+template <typename T>
+void store_counts(const std::uint64_t* src, std::size_t n, char* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const T v = static_cast<T>(src[i]);
+      std::memcpy(dst + i * sizeof(T), &v, sizeof(T));
+    } else {
+      for (std::size_t b = 0; b < sizeof(T); ++b)
+        dst[i * sizeof(T) + b] = static_cast<char>((src[i] >> (8 * b)) & 0xFF);
+    }
   }
 }
 
-FlatCountTable FlatCountTable::deserialize(std::istream& is) {
-  const unsigned key_bits = common::read_u8(is);
+template <typename T>
+void load_counts(const char* src, std::size_t n, std::uint64_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if constexpr (std::endian::native == std::endian::little) {
+      T v;
+      std::memcpy(&v, src + i * sizeof(T), sizeof(T));
+      dst[i] = v;
+    } else {
+      std::uint64_t v = 0;
+      for (std::size_t b = 0; b < sizeof(T); ++b)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(src[i * sizeof(T) + b]))
+             << (8 * b);
+      dst[i] = v;
+    }
+  }
+}
+
+unsigned width_of(std::uint64_t max_count) {
+  if (max_count <= 0xFF) return 1;
+  if (max_count <= 0xFFFF) return 2;
+  if (max_count <= 0xFFFFFFFF) return 4;
+  return 8;
+}
+
+}  // namespace
+
+unsigned FlatCountTable::count_width() const {
+  return width_of(counts_.empty()
+                      ? 0
+                      : *std::max_element(counts_.begin(), counts_.end()));
+}
+
+std::size_t FlatCountTable::encoded_size() const {
+  return 2 + counts_.size() * count_width();
+}
+
+void FlatCountTable::encode(std::string& out) const {
+  SCA_ASSERT(counts_.size() == std::size_t{2} << key_bits_,
+             "FlatCountTable: encoding a placeholder table");
+  const unsigned width = count_width();
+  common::put_u8(out, static_cast<std::uint8_t>(key_bits_));
+  common::put_u8(out, static_cast<std::uint8_t>(width));
+  const std::size_t at = out.size();
+  out.resize(at + counts_.size() * width);
+  char* dst = out.data() + at;
+  switch (width) {
+    case 1:
+      store_counts<std::uint8_t>(counts_.data(), counts_.size(), dst);
+      break;
+    case 2:
+      store_counts<std::uint16_t>(counts_.data(), counts_.size(), dst);
+      break;
+    case 4:
+      store_counts<std::uint32_t>(counts_.data(), counts_.size(), dst);
+      break;
+    default:
+      store_counts<std::uint64_t>(counts_.data(), counts_.size(), dst);
+  }
+}
+
+FlatCountTable FlatCountTable::decode(common::ByteReader& in) {
+  const unsigned key_bits = in.u8();
   common::require(key_bits <= kMaxKeyBits,
                   "FlatCountTable: snapshot key space too large");
-  const std::uint64_t space = std::uint64_t{1} << key_bits;
-  const std::uint64_t nkeys = common::read_u64(is);
-  common::require(nkeys <= space, "FlatCountTable: snapshot overfull");
+  const unsigned width = in.u8();
+  common::require(width == 1 || width == 2 || width == 4 || width == 8,
+                  "FlatCountTable: snapshot count width invalid");
+  const std::size_t n = std::size_t{2} << key_bits;
+  common::require(in.remaining() / width >= n,
+                  "FlatCountTable: snapshot table runs past the payload end");
+  const char* src = in.take(n * width);
   FlatCountTable table(key_bits);
-  // Strictly ascending keys, each with a nonzero count: the canonical
-  // stream serialize() writes, so no key can be stored twice.
-  std::uint64_t prev_key = 0;
-  for (std::uint64_t i = 0; i < nkeys; ++i) {
-    const std::uint64_t key = common::read_u64(is);
-    common::require(key < space,
-                    "FlatCountTable: snapshot key outside the key space");
-    common::require(i == 0 || key > prev_key,
-                    "FlatCountTable: snapshot keys not strictly ascending");
-    prev_key = key;
-    const auto slot = 2 * static_cast<std::size_t>(key);
-    table.counts_[slot] = common::read_u64(is);
-    table.counts_[slot + 1] = common::read_u64(is);
-    common::require(table.counts_[slot] || table.counts_[slot + 1],
-                    "FlatCountTable: snapshot stores an empty bin");
+  std::uint64_t* dst = table.counts_.data();
+  switch (width) {
+    case 1:
+      load_counts<std::uint8_t>(src, n, dst);
+      break;
+    case 2:
+      load_counts<std::uint16_t>(src, n, dst);
+      break;
+    case 4:
+      load_counts<std::uint32_t>(src, n, dst);
+      break;
+    default:
+      load_counts<std::uint64_t>(src, n, dst);
   }
+  // Only the narrowest width is canonical, so a loaded table re-encodes to
+  // the bytes it came from.
+  common::require(table.count_width() == width,
+                  "FlatCountTable: snapshot count width is not the narrowest");
   return table;
 }
 

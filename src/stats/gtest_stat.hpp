@@ -10,8 +10,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
+
+namespace sca::common {
+class ByteReader;
+}
 
 namespace sca::stats {
 
@@ -83,14 +87,23 @@ class FlatCountTable {
   /// Zeroes every count and keeps the key space.
   void clear();
 
-  /// Binary snapshot: the key bits, then every key with a nonzero count as
-  /// a (key, count, count) triple in ascending key order, so the byte
-  /// stream is a pure function of the counts.
-  void serialize(std::ostream& os) const;
+  /// Narrowest count width in bytes (1, 2, 4 or 8) that holds every count.
+  unsigned count_width() const;
 
-  /// Restores a table from serialize()'s stream. Throws common::Error on
-  /// truncated or malformed input (snapshots are untrusted).
-  static FlatCountTable deserialize(std::istream& is);
+  /// Bytes encode() appends.
+  std::size_t encoded_size() const;
+
+  /// Appends the table's snapshot encoding to `out`: the key bits, the
+  /// count width w, then all 2 << key_bits counts (entry 2*key + group)
+  /// little-endian at w bytes each. The bytes are a pure function of the
+  /// counts.
+  void encode(std::string& out) const;
+
+  /// Decodes one encode()d table from `in`. Throws common::Error on a key
+  /// space above kMaxKeyBits, a width that is not the narrowest one, or
+  /// counts running past the end of `in` — all checked before allocating
+  /// (snapshots are untrusted).
+  static FlatCountTable decode(common::ByteReader& in);
 
   bool operator==(const FlatCountTable& other) const = default;
 

@@ -13,11 +13,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/checkpoint.hpp"
 #include "src/core/report.hpp"
@@ -61,6 +64,17 @@ std::string ckpt_path(const std::string& tag) {
   const std::string path = testing::TempDir() + "sca_ckpt_" + tag + ".bin";
   std::remove(path.c_str());
   return path;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // Bit-identical result comparison: same probe sets in the same order with
@@ -393,17 +407,10 @@ TEST(Checkpoint, CorruptedSnapshotsAreRejected) {
   opts.stop_after_stage = 1;
   (void)run_fixed_vs_random(nl, opts);
 
-  const auto read_file = [&] {
-    std::ifstream is(opts.checkpoint_path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is),
-                       std::istreambuf_iterator<char>());
-  };
   const auto write_file = [&](const std::string& bytes) {
-    std::ofstream os(opts.checkpoint_path,
-                     std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    write_bytes(opts.checkpoint_path, bytes);
   };
-  const std::string good = read_file();
+  const std::string good = read_bytes(opts.checkpoint_path);
   ASSERT_GT(good.size(), 64u);
 
   CampaignOptions resume = staged_options(12000, 3, 1);
@@ -424,19 +431,22 @@ TEST(Checkpoint, CorruptedSnapshotsAreRejected) {
   write_file("definitely not a checkpoint");
   EXPECT_THROW(run_fixed_vs_random(nl, resume), common::Error);
 
-  // A version-2 snapshot (the pre-count-table format) is refused by its
-  // version word, which follows the 8-byte magic (little-endian u64).
-  std::string old_version = good;
-  old_version[8] = 2;
-  for (std::size_t i = 9; i < 16; ++i) old_version[i] = 0;
-  write_file(old_version);
-  try {
-    run_fixed_vs_random(nl, resume);
-    ADD_FAILURE() << "version-2 snapshot was accepted";
-  } catch (const common::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version"),
-              std::string::npos)
-        << e.what();
+  // Version-2 (Welford moments) and version-3 (sparse count triples)
+  // snapshots are refused by their version word, which follows the 8-byte
+  // magic (little-endian u64).
+  for (const char version : {2, 3}) {
+    std::string old_version = good;
+    old_version[8] = version;
+    for (std::size_t i = 9; i < 16; ++i) old_version[i] = 0;
+    write_file(old_version);
+    try {
+      run_fixed_vs_random(nl, resume);
+      ADD_FAILURE() << "version-" << int{version} << " snapshot was accepted";
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported snapshot version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   // Well-formed, matching snapshot whose stage cursor says no stage of the
@@ -463,6 +473,213 @@ TEST(Checkpoint, CorruptedSnapshotsAreRejected) {
   EXPECT_THROW(run_fixed_vs_random(nl, wrong), common::Error);
 
   std::remove(opts.checkpoint_path.c_str());
+}
+
+// --- the v4 snapshot format -------------------------------------------------
+
+std::string payload_of(const std::string& file) {
+  return file.substr(common::kSnapshotHeaderBytes,
+                     file.size() - common::kSnapshotHeaderBytes -
+                         common::kSnapshotTrailerBytes);
+}
+
+// `payload` in the envelope of `file` (same magic and version) with a valid
+// length and checksum, so only the payload decoder can reject it.
+std::string rewrap(const std::string& file, const std::string& payload) {
+  std::string out = file.substr(0, 16);
+  common::put_u64(out, payload.size());
+  out += payload;
+  common::put_u64(
+      out, common::Fnv1a().feed_bytes(payload.data(), payload.size()).value());
+  return out;
+}
+
+// A real mid-batch snapshot: the tiny table budget splits the campaign into
+// batches of 3 stages, so stopping after stage 4 leaves one finished batch
+// (results) and one batch in progress (tables).
+std::string batched_snapshot(const std::string& tag) {
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
+  CampaignOptions opts = staged_options(12000, 3, 2);
+  opts.table_memory_budget = 4 * 1024;
+  opts.checkpoint_path = ckpt_path(tag);
+  opts.stop_after_stage = 4;
+  (void)run_fixed_vs_random(nl, opts);
+  return opts.checkpoint_path;
+}
+
+TEST(Checkpoint, SaveLoadSaveIsByteIdentical) {
+  const std::string path = batched_snapshot("reload");
+  const CampaignSnapshot first = load_checkpoint(path);
+  ASSERT_FALSE(first.finished.empty());
+  ASSERT_FALSE(first.sets.empty());
+  const std::string copy = path + ".copy";
+  save_checkpoint(copy, first);
+  EXPECT_EQ(read_bytes(copy), read_bytes(path));
+  const CampaignSnapshot second = load_checkpoint(copy);
+  EXPECT_EQ(second.sets, first.sets);
+  EXPECT_EQ(second.stages_done, first.stages_done);
+  EXPECT_EQ(second.batch_index, first.batch_index);
+  ASSERT_EQ(second.finished.size(), first.finished.size());
+  for (std::size_t i = 0; i < first.finished.size(); ++i) {
+    EXPECT_EQ(second.finished[i].name, first.finished[i].name);
+    EXPECT_EQ(second.finished[i].representatives,
+              first.finished[i].representatives);
+    EXPECT_EQ(second.finished[i].g.g, first.finished[i].g.g);
+  }
+  std::remove(path.c_str());
+  std::remove(copy.c_str());
+}
+
+TEST(Checkpoint, CountWidthEdgesRoundTrip) {
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  const std::vector<std::pair<std::uint64_t, unsigned>> edges = {
+      {0, 1},      {255, 1},       {256, 2},   {65'535, 2},
+      {65'536, 4}, {two32 - 1, 4}, {two32, 8}, {~std::uint64_t{0}, 8}};
+  const std::string path = ckpt_path("widths");
+  for (const auto& [count, width] : edges) {
+    CampaignSnapshot snap;
+    snap.sets.emplace_back(2);
+    snap.sets.back().add(3, 1, count);
+    snap.sets.back().add(0, 0, 1);
+    EXPECT_EQ(snap.sets.back().count_width(), width) << count;
+    save_checkpoint(path, snap);
+    // The table is the payload's last record: key bits, width, 8 counts.
+    const std::string payload = payload_of(read_bytes(path));
+    ASSERT_GE(payload.size(), 2 + 8 * width);
+    EXPECT_EQ(static_cast<unsigned>(payload[payload.size() - 8 * width - 1]),
+              width)
+        << count;
+    const CampaignSnapshot back = load_checkpoint(path);
+    ASSERT_EQ(back.sets.size(), 1u);
+    EXPECT_EQ(back.sets[0], snap.sets[0]) << count;
+    EXPECT_EQ(back.sets[0].counts_for(3)[1], count);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, DecoderRejectsMalformedTables) {
+  CampaignSnapshot snap;
+  snap.sets.emplace_back(3);
+  snap.sets.back().add(5, 0, 300);  // count width 2
+  const std::string path = ckpt_path("malformed");
+  save_checkpoint(path, snap);
+  const std::string file = read_bytes(path);
+  const std::string payload = payload_of(file);
+  const std::size_t table = payload.size() - (2 + 16 * 2);
+  ASSERT_EQ(payload[table], 3);
+  ASSERT_EQ(payload[table + 1], 2);
+
+  // The re-wrapped, unmodified payload loads: the envelope is valid.
+  write_bytes(path, rewrap(file, payload));
+  EXPECT_EQ(load_checkpoint(path).sets, snap.sets);
+
+  const auto expect_rejected = [&](const std::string& bad,
+                                   const std::string& reason) {
+    write_bytes(path, rewrap(file, bad));
+    try {
+      (void)load_checkpoint(path);
+      ADD_FAILURE() << "accepted a table with: " << reason;
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  };
+  std::string bad = payload;
+  bad[table + 1] = 3;
+  expect_rejected(bad, "count width invalid");
+  bad = payload;
+  bad[table + 1] = 4;
+  expect_rejected(bad, "runs past the payload end");
+  bad = payload;
+  bad[table] = static_cast<char>(stats::FlatCountTable::kMaxKeyBits + 1);
+  expect_rejected(bad, "key space too large");
+  bad = payload;
+  bad[table] = 4;
+  expect_rejected(bad, "runs past the payload end");
+  expect_rejected(payload.substr(0, payload.size() - 1),
+                  "runs past the payload end");
+  std::remove(path.c_str());
+}
+
+// Offsets of the payload's length fields, walking the v4 layout of `snap`:
+// the finished count, each result's name length and representative count
+// and the set count (u64 words), and each table's key-bits and width bytes.
+struct LengthFields {
+  std::vector<std::size_t> words;
+  std::vector<std::size_t> bytes;
+};
+
+LengthFields length_fields(const CampaignSnapshot& snap) {
+  LengthFields f;
+  std::size_t at = 90;  // cursor, flags, totals and timings
+  f.words.push_back(at);
+  at += 8;
+  for (const ProbeSetResult& r : snap.finished) {
+    f.words.push_back(at);
+    at += 8 + r.name.size();
+    f.words.push_back(at);
+    at += 8 + 8 * r.representatives.size() + 106;
+  }
+  f.words.push_back(at);
+  at += 8;
+  for (const stats::FlatCountTable& t : snap.sets) {
+    f.bytes.push_back(at);
+    f.bytes.push_back(at + 1);
+    at += t.encoded_size();
+  }
+  f.words.push_back(at);  // end of payload, for the walk check below
+  return f;
+}
+
+TEST(Checkpoint, SeededMutationsThrowOrLoadCleanly) {
+  const std::string path = batched_snapshot("mutants");
+  const std::string file = read_bytes(path);
+  const std::string payload = payload_of(file);
+  LengthFields fields = length_fields(load_checkpoint(path));
+  ASSERT_EQ(fields.words.back(), payload.size()) << "layout walk is off";
+  fields.words.pop_back();
+
+  constexpr std::uint64_t kEdits[] = {
+      0, 1, 2, 255, 256, 65'536, std::uint64_t{1} << 24,
+      std::uint64_t{1} << 32, std::uint64_t{1} << 40, ~std::uint64_t{0} >> 1,
+      ~std::uint64_t{0}};
+  common::Xoshiro256 rng(0x5eed);
+  constexpr int kMutants = 2400;
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = payload;
+    switch (i % 3) {
+      case 0:  // one to four flipped bytes anywhere
+        for (std::uint64_t n = 1 + rng.below(4); n > 0; --n)
+          mutant[rng.below(mutant.size())] ^=
+              static_cast<char>(1 + rng.below(255));
+        break;
+      case 1:  // truncation
+        mutant.resize(rng.below(mutant.size()));
+        break;
+      default:  // a length field set to an edge value
+        if (rng.bit()) {
+          const std::size_t at = fields.words[rng.below(fields.words.size())];
+          const std::uint64_t v = kEdits[rng.below(std::size(kEdits))];
+          for (int b = 0; b < 8; ++b)
+            mutant[at + b] = static_cast<char>((v >> (8 * b)) & 0xFF);
+        } else {
+          mutant[fields.bytes[rng.below(fields.bytes.size())]] =
+              static_cast<char>(rng.byte());
+        }
+    }
+    write_bytes(path, rewrap(file, mutant));
+    try {
+      (void)load_checkpoint(path);
+      ++loaded;
+    } catch (const common::Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, kMutants);
+  EXPECT_GE(rejected, kMutants / 3);  // every truncation at least
+  std::remove(path.c_str());
 }
 
 TEST(EarlyStop, LeakyCampaignStopsBeforeHalfBudget) {

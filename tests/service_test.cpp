@@ -2,9 +2,10 @@
 //
 // The contracts under test:
 //   * Crash recovery: an E2 campaign submitted through a live evald daemon
-//     with 4 forked workers, one of which is SIGKILLed mid-ticket, produces
-//     a verdict byte-identical to the uninterrupted in-process run, and the
-//     daemon reports the re-issued ticket and restarted worker.
+//     with 4 forked workers, one of which is SIGKILLed mid-ticket after the
+//     first stage (so recovery loads a snapshot carrying count tables),
+//     produces a verdict byte-identical to the uninterrupted in-process
+//     run, and the daemon reports the re-issued ticket and restarted worker.
 //   * Verdict cache: an identical resubmission is served from the cache
 //     with zero simulated work; flipping any verdict-relevant component of
 //     the spec (a netlist byte, the randomness plan, the budget, the seed)
@@ -30,6 +31,7 @@
 
 #include "src/common/check.hpp"
 #include "src/core/campaign.hpp"
+#include "src/core/checkpoint.hpp"
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/gadgets/bus.hpp"
@@ -433,16 +435,26 @@ TEST(Service, CrashedWorkerRecoversWithBitIdenticalVerdict) {
   EXPECT_FALSE(ack.at("cached").as_bool());
   const std::string job = ack.at("job").as_string();
 
-  // Wait until a worker is busy on a ticket (it sleeps throttle_ms before
-  // doing any work, so this window is wide), then SIGKILL it.
+  // Wait until the job has completed a stage and a worker is busy on a
+  // later ticket (it sleeps throttle_ms before doing any work, so this
+  // window is wide), then SIGKILL it. The re-issued ticket then resumes
+  // from a mid-batch snapshot that carries count tables.
+  const std::string checkpoint = options.work_dir + "/" + job + ".ckpt";
   pid_t victim = -1;
-  for (int i = 0; i < 200 && victim < 0; ++i) {
-    const Json status = client.status();
-    const auto& busy = status.at("busy_pids").items();
-    if (!busy.empty()) victim = static_cast<pid_t>(busy.front().as_int());
+  for (int i = 0; i < 500 && victim < 0; ++i) {
+    const Json progress = client.result(job, /*wait=*/false);
+    ASSERT_EQ(progress.at("type").as_string(), "pending")
+        << "the job finished before a worker could be killed";
+    if (progress.at("steps_done").as_uint() >= 1) {
+      const Json status = client.status();
+      const auto& busy = status.at("busy_pids").items();
+      if (!busy.empty()) victim = static_cast<pid_t>(busy.front().as_int());
+    }
     if (victim < 0) sleep_ms(20);
   }
-  ASSERT_GT(victim, 0) << "no worker ever went busy";
+  ASSERT_GT(victim, 0) << "no worker went busy after the first stage";
+  EXPECT_FALSE(eval::load_checkpoint(checkpoint).sets.empty())
+      << "the snapshot the re-issued ticket resumes from holds no tables";
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
   const Json result = client.result(job, /*wait=*/true);

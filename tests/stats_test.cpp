@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -363,19 +362,27 @@ TEST(FlatCountTable, ClearKeepsModeAndCapacity) {
 
 // --- snapshot serialization round trips -------------------------------------
 //
-// The checkpoint/resume machinery depends on serialize() -> deserialize()
-// restoring count tables exactly, and on deserialize() rejecting anything
-// serialize() could not have written (snapshots are untrusted input).
+// The checkpoint/resume machinery depends on encode() -> decode() restoring
+// count tables exactly, and on decode() rejecting anything encode() could
+// not have written (snapshots are untrusted input).
+
+FlatCountTable decode_all(const std::string& bytes) {
+  common::ByteReader in(bytes.data(), bytes.size());
+  FlatCountTable table = FlatCountTable::decode(in);
+  EXPECT_EQ(in.remaining(), 0u);
+  return table;
+}
 
 TEST(Serialization, FlatCountTableDirectRoundTrip) {
   FlatCountTable table(10);
   common::Xoshiro256 rng(11);
   for (int i = 0; i < 3000; ++i)
     table.add(rng.below(1024), static_cast<int>(rng.bit()));
-  std::ostringstream os;
-  table.serialize(os);
-  std::istringstream is(os.str());
-  const FlatCountTable restored = FlatCountTable::deserialize(is);
+  std::string bytes;
+  table.encode(bytes);
+  EXPECT_EQ(bytes.size(), table.encoded_size());
+  EXPECT_EQ(bytes.size(), 2u + 2048u * table.count_width());
+  const FlatCountTable restored = decode_all(bytes);
   EXPECT_EQ(restored.key_bits(), 10u);
   EXPECT_EQ(table, restored);
   EXPECT_EQ(table.bin_count(), restored.bin_count());
@@ -385,43 +392,41 @@ TEST(Serialization, TruncatedStreamsThrow) {
   FlatCountTable ft(5);
   ft.add(10, 0);
   ft.add(20, 1);
-  std::ostringstream os;
-  ft.serialize(os);
-  const std::string full = os.str();
+  std::string full;
+  ft.encode(full);
   ASSERT_GT(full.size(), 4u);
-  for (std::size_t cut : {std::size_t{0}, std::size_t{5}, full.size() / 2,
-                          full.size() - 1}) {
-    std::istringstream is(full.substr(0, cut));
-    EXPECT_THROW(FlatCountTable::deserialize(is), common::Error) << cut;
+  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                          full.size() / 2, full.size() - 1}) {
+    const std::string part = full.substr(0, cut);
+    common::ByteReader in(part.data(), part.size());
+    EXPECT_THROW(FlatCountTable::decode(in), common::Error) << cut;
   }
 }
 
 TEST(Serialization, MalformedFlatCountTablesAreRejected) {
-  // Hand-written streams: key bits, key count, (key, count, count)...
-  auto stream = [](unsigned key_bits,
-                   const std::vector<std::array<std::uint64_t, 3>>& rows) {
-    std::ostringstream os;
-    common::write_u8(os, static_cast<std::uint8_t>(key_bits));
-    common::write_u64(os, rows.size());
-    for (const auto& row : rows)
-      for (std::uint64_t v : row) common::write_u64(os, v);
-    return os.str();
+  // Hand-written encodings: key bits, count width, then 2 << key_bits
+  // counts at that width.
+  auto encoding = [](unsigned key_bits, unsigned width,
+                     const std::vector<std::uint64_t>& counts) {
+    std::string out;
+    common::put_u8(out, static_cast<std::uint8_t>(key_bits));
+    common::put_u8(out, static_cast<std::uint8_t>(width));
+    for (std::uint64_t c : counts)
+      for (unsigned b = 0; b < width; ++b)
+        out.push_back(static_cast<char>((c >> (8 * b)) & 0xFF));
+    return out;
   };
-  auto parses = [](const std::string& bytes) {
-    std::istringstream is(bytes);
-    FlatCountTable::deserialize(is);
-  };
-  EXPECT_NO_THROW(parses(stream(4, {{1, 2, 3}, {7, 0, 1}})));
-  EXPECT_THROW(parses(stream(FlatCountTable::kMaxKeyBits + 1, {})),
+  EXPECT_NO_THROW(decode_all(encoding(1, 1, {2, 3, 0, 1})));
+  EXPECT_NO_THROW(decode_all(encoding(1, 2, {2, 300, 0, 1})));
+  EXPECT_THROW(decode_all(encoding(FlatCountTable::kMaxKeyBits + 1, 1, {})),
                common::Error);                                  // too wide
-  EXPECT_THROW(parses(stream(4, {{16, 1, 1}})), common::Error);  // key >= 2^4
-  EXPECT_THROW(parses(stream(4, {{7, 1, 0}, {3, 1, 0}})),
-               common::Error);                                  // descending
-  EXPECT_THROW(parses(stream(4, {{3, 1, 0}, {3, 1, 0}})),
-               common::Error);                                  // duplicate
-  EXPECT_THROW(parses(stream(4, {{3, 0, 0}})), common::Error);   // empty bin
-  EXPECT_THROW(parses(stream(1, {{0, 1, 1}, {1, 1, 1}, {2, 1, 1}})),
-               common::Error);                                  // overfull
+  EXPECT_THROW(decode_all(encoding(1, 3, {2, 3, 0, 1})),
+               common::Error);                                  // bad width
+  EXPECT_THROW(decode_all(encoding(1, 0, {})), common::Error);  // bad width
+  EXPECT_THROW(decode_all(encoding(1, 2, {2, 3, 0, 1})),
+               common::Error);                          // width not narrowest
+  EXPECT_THROW(decode_all(encoding(2, 1, {2, 3, 0, 1})),
+               common::Error);                          // runs past the end
 }
 
 }  // namespace
