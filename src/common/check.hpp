@@ -21,6 +21,13 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
 
+/// The same for a literal message, which is only turned into a string when
+/// the check fails (hot paths such as Netlist::add_gate check on every
+/// call).
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw Error(msg);
+}
+
 }  // namespace sca::common
 
 // Internal invariant check: always on (the circuits are small; correctness

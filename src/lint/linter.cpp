@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -72,17 +73,73 @@ LintRule classify(const TupleVerdict& verdict) {
   return LintRule::kR2DomainCrossing;
 }
 
-/// Total-variation distance between two equal-total count histograms.
-double histogram_tv(const std::vector<std::uint32_t>& p,
-                    const std::vector<std::uint32_t>& q) {
-  std::uint64_t total = 0, abs_diff_doubled = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    total += p[i];
-    abs_diff_doubled += p[i] > q[i] ? (p[i] - q[i]) : (q[i] - p[i]);
-  }
-  if (total == 0) return 0.0;
-  return 0.5 * static_cast<double>(abs_diff_doubled) /
-         static_cast<double>(total);
+/// A pair of secret values and the total-variation distance between their
+/// exact observation distributions.
+struct SecretPair {
+  std::size_t a = 0;
+  std::size_t b = 0;
+  double tv = 0.0;
+};
+
+/// Sum of |p[i] - q[i]| over n counts. A nonzero kN fixes the trip count,
+/// which lets the compiler vectorize the loop at -O2.
+template <std::size_t kN = 0>
+std::uint64_t l1_distance(const std::uint32_t* p, const std::uint32_t* q,
+                          std::size_t n = kN) {
+  const std::size_t len = kN != 0 ? kN : n;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < len; ++i)
+    sum += p[i] > q[i] ? p[i] - q[i] : q[i] - p[i];
+  return sum;
+}
+
+/// The most-distinguishing secret pair of a distribution: the a < b of
+/// largest total-variation distance, lexicographically first on ties (tv 0
+/// when every row is identical). The L1 distances are summed for a tile of
+/// row pairs over one column tile at a time, so the compared rows stay in
+/// cache instead of the whole table streaming once per row.
+SecretPair most_distinguishing_pair(const verif::ProbeDistribution& dist) {
+  constexpr std::size_t kTileRows = 32;
+  constexpr std::size_t kTileCols = 2048;
+  const std::size_t rows = dist.rows();
+  const std::size_t width = dist.row(0).size();
+  std::vector<std::uint64_t> total(rows, 0);
+  for (std::size_t a = 0; a < rows; ++a)
+    for (const std::uint32_t c : dist.row(a)) total[a] += c;
+  SecretPair best;
+  std::vector<std::uint64_t> l1(kTileRows * kTileRows);
+  for (std::size_t a0 = 0; a0 < rows; a0 += kTileRows)
+    for (std::size_t b0 = a0; b0 < rows; b0 += kTileRows) {
+      const std::size_t a1 = std::min(rows, a0 + kTileRows);
+      const std::size_t b1 = std::min(rows, b0 + kTileRows);
+      std::fill(l1.begin(), l1.end(), 0);
+      for (std::size_t c0 = 0; c0 < width; c0 += kTileCols) {
+        const std::size_t n = std::min(kTileCols, width - c0);
+        for (std::size_t a = a0; a < a1; ++a) {
+          const std::uint32_t* const p = dist.row(a).data() + c0;
+          for (std::size_t b = std::max(b0, a + 1); b < b1; ++b) {
+            const std::uint32_t* const q = dist.row(b).data() + c0;
+            l1[(a - a0) * kTileRows + (b - b0)] +=
+                n == kTileCols ? l1_distance<kTileCols>(p, q)
+                               : l1_distance(p, q, n);
+          }
+        }
+      }
+      for (std::size_t a = a0; a < a1; ++a)
+        for (std::size_t b = std::max(b0, a + 1); b < b1; ++b) {
+          SCA_ASSERT(total[a] == total[b], "certificate: totals differ");
+          if (total[a] == 0) continue;
+          const double tv =
+              0.5 *
+              static_cast<double>(l1[(a - a0) * kTileRows + (b - b0)]) /
+              static_cast<double>(total[a]);
+          if (tv > best.tv ||
+              (tv == best.tv && tv > 0.0 &&
+               std::pair(a, b) < std::pair(best.a, best.b)))
+            best = {a, b, tv};
+        }
+    }
+  return best;
 }
 
 /// Builds the counterexample certificate for one flagged probe by replaying
@@ -101,18 +158,7 @@ LintCertificate make_certificate(const verif::ProbeDistributionEngine& engine,
         "the probe's observation reaches no complete sharing";
     return cert;
   }
-  // Most-distinguishing secret pair.
-  std::size_t best_a = 0, best_b = 0;
-  double best_tv = 0.0;
-  for (std::size_t a = 0; a < dist.counts.size(); ++a)
-    for (std::size_t b = a + 1; b < dist.counts.size(); ++b) {
-      const double tv = histogram_tv(dist.counts[a], dist.counts[b]);
-      if (tv > best_tv) {
-        best_tv = tv;
-        best_a = a;
-        best_b = b;
-      }
-    }
+  const auto [best_a, best_b, best_tv] = most_distinguishing_pair(dist);
   if (best_tv == 0.0) {
     cert.unavailable_reason =
         "exact distributions are identical for every secret value — the "
@@ -121,12 +167,13 @@ LintCertificate make_certificate(const verif::ProbeDistributionEngine& engine,
   }
   // Observation value where secret_a's count exceeds secret_b's (one always
   // exists when the distance is positive, since totals are equal).
+  const std::span<const std::uint32_t> row_a = dist.row(best_a);
+  const std::span<const std::uint32_t> row_b = dist.row(best_b);
   std::size_t best_obs = 0;
   std::int64_t best_diff = 0;
-  for (std::size_t o = 0; o < dist.counts[best_a].size(); ++o) {
-    const std::int64_t diff =
-        static_cast<std::int64_t>(dist.counts[best_a][o]) -
-        static_cast<std::int64_t>(dist.counts[best_b][o]);
+  for (std::size_t o = 0; o < row_a.size(); ++o) {
+    const std::int64_t diff = static_cast<std::int64_t>(row_a[o]) -
+                              static_cast<std::int64_t>(row_b[o]);
     if (diff > best_diff) {
       best_diff = diff;
       best_obs = o;
@@ -136,8 +183,8 @@ LintCertificate make_certificate(const verif::ProbeDistributionEngine& engine,
   cert.secret_b = best_b;
   cert.tv_distance = best_tv;
   cert.observation = best_obs;
-  cert.count_a = dist.counts[best_a][best_obs];
-  cert.count_b = dist.counts[best_b][best_obs];
+  cert.count_a = row_a[best_obs];
+  cert.count_b = row_b[best_obs];
   cert.assignment = engine.preimage(probe, best_a, best_obs);
   cert.available = true;
   return cert;

@@ -307,22 +307,27 @@ std::size_t Netlist::random_input_count() const {
 }
 
 void Netlist::validate() const {
+  // Messages are built only on failure: signal_name() is a map lookup and
+  // a string copy, far more than the checks themselves.
   for (SignalId id = 0; id < gates_.size(); ++id) {
     const Gate& g = gates_[id];
-    require(!reg_placeholder_[id],
-            "validate: register " + signal_name(id) + " has unconnected D");
+    if (reg_placeholder_[id])
+      throw common::Error("validate: register " + signal_name(id) +
+                          " has unconnected D");
     const std::size_t arity = gate_arity(g.kind);
     for (std::size_t i = 0; i < arity; ++i) {
-      require(g.fanin[i] != kNoSignal,
-              "validate: gate " + signal_name(id) + " missing fanin");
-      require(g.fanin[i] < gates_.size(),
-              "validate: gate " + signal_name(id) + " fanin out of range");
+      if (g.fanin[i] == kNoSignal)
+        throw common::Error("validate: gate " + signal_name(id) +
+                            " missing fanin");
+      if (g.fanin[i] >= gates_.size())
+        throw common::Error("validate: gate " + signal_name(id) +
+                            " fanin out of range");
       // Registers may read forward (feedback); combinational gates were built
       // append-only, so their fanins always precede them. Re-check anyway to
       // catch memory corruption or future builder changes.
-      if (g.kind != GateKind::kReg)
-        require(g.fanin[i] < id, "validate: combinational forward reference at " +
-                                     signal_name(id));
+      if (g.kind != GateKind::kReg && g.fanin[i] >= id)
+        throw common::Error("validate: combinational forward reference at " +
+                            signal_name(id));
     }
   }
   // Detect combinational cycles (registers break cycles by construction of
@@ -355,9 +360,10 @@ std::vector<SignalId> Netlist::topological_order() const {
         // Every combinational fanin must be an earlier id.
         const std::size_t arity = gate_arity(k);
         for (std::size_t i = 0; i < arity; ++i)
-          require(gates_[id].fanin[i] < id,
-                  "topological_order: combinational cycle or forward ref at " +
-                      signal_name(id));
+          if (gates_[id].fanin[i] >= id)
+            throw common::Error(
+                "topological_order: combinational cycle or forward ref at " +
+                signal_name(id));
         order.push_back(id);
       }
     }

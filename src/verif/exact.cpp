@@ -1,22 +1,21 @@
 #include "src/verif/exact.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <tuple>
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
-#include <unordered_map>
-
-#include <bit>
-
+#include "src/common/bitops.hpp"
 #include "src/common/check.hpp"
 #include "src/common/names.hpp"
 #include "src/common/simd.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/netlist/cone.hpp"
+#include "src/verif/exact_detail.hpp"
 #include "src/verif/unroll.hpp"
 
 namespace sca::verif {
@@ -27,23 +26,25 @@ using netlist::InputRole;
 using netlist::Netlist;
 using netlist::SignalId;
 
-// Named (not anonymous) so ProbeDistributionEngine::Impl can hold the
-// engine without giving a class with external linkage an internal-linkage
-// subobject; only this translation unit uses it.
-namespace exact_detail {
+namespace detail {
+namespace {
 
-// Lane patterns for the first six enumeration variables: variable j toggles
+// Lane patterns for the first six enumeration index bits: bit j toggles
 // with period 2^(j+1) across the 64 lanes of one block. In a wide SIMD
-// block the next log2(limbs) variables stripe across limbs (limb i of
-// variable 6+k is all-ones iff bit k of i is set), so lane L of a W-lane
-// block still enumerates assignment L — the 64-lane layout, just wider.
+// block the next log2(limbs) bits stripe across limbs (limb i of bit 6+k
+// is all-ones iff bit k of i is set), so lane L of a W-lane block still
+// enumerates assignment L — the 64-lane layout, just wider.
 constexpr std::uint64_t kLanePattern[6] = {
     0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
 
-// Enumeration word of variable `j` in wide block `block`: bit L of the word
-// (lane numbering: bit L%64 of limb L/64) is bit j of the assignment index
-// block * kLanes + L.
+// Observations up to this width are histogrammed by conjunction popcounts;
+// wider ones by a 64x64 transpose and one per-lane key.
+constexpr std::size_t kNarrowObservationBits = 8;
+
+// Enumeration word of index bit `j` in wide block `block`: bit L of the
+// word (lane numbering: bit L%64 of limb L/64) is bit j of the assignment
+// index block * kLanes + L.
 template <unsigned kLimbs>
 common::SimdWord<kLimbs> enumeration_word(std::size_t j, std::size_t block) {
   using Word = common::SimdWord<kLimbs>;
@@ -58,40 +59,263 @@ common::SimdWord<kLimbs> enumeration_word(std::size_t j, std::size_t block) {
   return ((block >> (j - 6 - kLimbBits)) & 1u) ? Word::ones() : Word::zero();
 }
 
-// One enumeration variable of the exact analysis.
-struct Var {
-  enum class Kind { kSecretBit, kFree } kind = Kind::kFree;
-  // For kSecretBit: which (secret group, bit); inputs depending on it are
-  // wired through share reconstruction below.
-  std::uint32_t secret = 0;
-  std::uint32_t bit = 0;
+// One block of an enumeration over the cone: the variables' words (index
+// bit bit_of[v] for variable v), the cone values driven and evaluated from
+// them, and the lanes outside the nonzero-bus constraint. All buffers are
+// sized to the analysis, none to the unrolled netlist.
+template <unsigned kLimbs>
+class ConeBlock {
+ public:
+  using Word = common::SimdWord<kLimbs>;
+  static constexpr std::size_t kLaneBits = 6 + std::countr_zero(kLimbs);
+
+  ConeBlock(const Analysis& a, std::vector<std::size_t> bit_of)
+      : a_(a),
+        bit_of_(std::move(bit_of)),
+        var_words_(a.vars.size()),
+        // Inputs the analysis never drives (public controls) stay zero.
+        values_(a.cone.size(), Word::zero()) {}
+
+  std::size_t blocks() const {
+    const std::size_t nv = a_.vars.size();
+    return nv > kLaneBits ? std::size_t{1} << (nv - kLaneBits) : 1;
+  }
+
+  /// Drives the inputs for `block` and evaluates the cone; returns the
+  /// lanes where some nonzero-constrained byte is all-zero. The skip set
+  /// only involves free variables, so every secret keeps the same total.
+  Word run(std::size_t block) {
+    for (std::size_t v = 0; v < var_words_.size(); ++v)
+      var_words_[v] = enumeration_word<kLimbs>(bit_of_[v], block);
+    for (const InputExpr& e : a_.input_exprs) {
+      if (e.pos == kNoPos) continue;
+      Word w = Word::zero();
+      for (const std::size_t v : e.var_indices) w ^= var_words_[v];
+      values_[e.pos] = w;
+    }
+    eval();
+    Word skip = Word::zero();
+    for (const auto& group : a_.nonzero_groups) {
+      Word all_zero = Word::ones();
+      for (const std::size_t v : group) all_zero &= ~var_words_[v];
+      skip |= all_zero;
+    }
+    return skip;
+  }
+
+  const Word& var(std::size_t v) const { return var_words_[v]; }
+  const Word& observed(std::size_t k) const {
+    return values_[a_.observation_pos[k]];
+  }
+
+ private:
+  void eval() {
+    Word* const v = values_.data();
+    for (std::size_t i = 0; i < a_.cone.size(); ++i) {
+      const ConeNode& g = a_.cone[i];
+      const auto& f = g.fanin;
+      switch (g.kind) {
+        case GateKind::kInput:
+          break;
+        case GateKind::kConst0:
+          v[i] = Word::zero();
+          break;
+        case GateKind::kConst1:
+          v[i] = Word::ones();
+          break;
+        case GateKind::kBuf:
+          v[i] = v[f[0]];
+          break;
+        case GateKind::kNot:
+          v[i] = ~v[f[0]];
+          break;
+        case GateKind::kAnd:
+          v[i] = v[f[0]] & v[f[1]];
+          break;
+        case GateKind::kNand:
+          v[i] = ~(v[f[0]] & v[f[1]]);
+          break;
+        case GateKind::kOr:
+          v[i] = v[f[0]] | v[f[1]];
+          break;
+        case GateKind::kNor:
+          v[i] = ~(v[f[0]] | v[f[1]]);
+          break;
+        case GateKind::kXor:
+          v[i] = v[f[0]] ^ v[f[1]];
+          break;
+        case GateKind::kXnor:
+          v[i] = ~(v[f[0]] ^ v[f[1]]);
+          break;
+        case GateKind::kMux:
+          v[i] = (~v[f[0]] & v[f[1]]) | (v[f[0]] & v[f[2]]);
+          break;
+        case GateKind::kReg:
+          SCA_ASSERT(false, "exact verifier: register in unrolled netlist");
+      }
+    }
+  }
+
+  const Analysis& a_;
+  std::vector<std::size_t> bit_of_;
+  std::vector<Word> var_words_;
+  std::vector<Word> values_;
 };
 
-// How one unrolled input gets its value during enumeration: XOR of a set of
-// variables (e.g. the last share of a fully-observed sharing is
-// secret-bit ^ all other shares).
-struct InputExpr {
-  SignalId input = netlist::kNoSignal;
-  std::vector<std::size_t> var_indices;
+// Exact joint histogram of an analysis at one batch width, flat and
+// secret-major (see ProbeDistribution::counts). The variables are ordered
+// free first, secret bit k on index bit n_free + k, so the secret value of
+// an assignment is its index >> n_free: constant within a word whenever
+// n_free covers the lane bits, and otherwise (a small enumeration) selected
+// per lane by a secret mask. Each (word, secret) histogram is counted per
+// word — conjunction popcounts for narrow observations, a transpose and
+// one table increment per kept lane for wide ones — so every width yields
+// the identical counts.
+template <unsigned kLimbs>
+std::vector<std::uint32_t> enumerate_impl(const Analysis& a) {
+  using Word = common::SimdWord<kLimbs>;
+  constexpr std::size_t kLaneBits = ConeBlock<kLimbs>::kLaneBits;
+  const std::size_t nv = a.vars.size();
+  const std::size_t n_secret = a.secret_var_indices.size();
+  const std::size_t n_free = nv - n_secret;
+  const std::size_t n_obs = a.observation.size();
+
+  std::vector<std::size_t> bit_of(nv);
+  std::size_t next_free = 0;
+  for (std::size_t v = 0; v < nv; ++v)
+    if (a.vars[v].kind == Var::Kind::kFree) bit_of[v] = next_free++;
+  for (std::size_t k = 0; k < n_secret; ++k)
+    bit_of[a.secret_var_indices[k]] = n_free + k;
+  ConeBlock<kLimbs> cone(a, std::move(bit_of));
+
+  // secret_masks[t]: lanes whose in-word secret bits read t (and, below
+  // one full block, whose index is < 2^nv). All-ones when the secret sits
+  // entirely on block bits.
+  const std::size_t word_secret_bits =
+      n_free >= kLaneBits ? 0 : std::min(nv, kLaneBits) - n_free;
+  std::vector<Word> secret_masks(std::size_t{1} << word_secret_bits,
+                                 Word::ones());
+  for (std::size_t t = 0; t < secret_masks.size(); ++t)
+    for (std::size_t j = n_free; j < kLaneBits; ++j) {
+      const Word pattern = enumeration_word<kLimbs>(j, 0);
+      secret_masks[t] &= ((t >> (j - n_free)) & 1u) ? pattern : ~pattern;
+    }
+
+  std::vector<std::uint32_t> counts(std::size_t{1} << (n_secret + n_obs), 0);
+  const bool narrow = n_obs <= kNarrowObservationBits;
+  // Narrow: level d of the conjunction tree at offset 2^d - 1 — entry c
+  // has a lane set iff that lane's first d observation bits read c.
+  std::vector<Word> levels(narrow ? (std::size_t{2} << n_obs) - 1 : 0);
+  // Wide: per limb, the transposed observation words (row L = lane L's
+  // observation value).
+  std::vector<std::array<std::uint64_t, 64>> keys(narrow ? 0 : kLimbs);
+
+  for (std::size_t block = 0; block < cone.blocks(); ++block) {
+    const Word keep = ~cone.run(block);
+    if (!narrow)
+      for (unsigned i = 0; i < kLimbs; ++i) {
+        std::uint64_t* const m = keys[i].data();
+        for (std::size_t k = 0; k < 64; ++k)
+          m[k] = k < n_obs ? cone.observed(k).limb(i) : 0;
+        common::transpose64(m);
+      }
+    const std::size_t secret_base = (block << kLaneBits) >> n_free;
+    for (std::size_t t = 0; t < secret_masks.size(); ++t) {
+      const Word mask = keep & secret_masks[t];
+      std::uint32_t* const row = counts.data() + ((secret_base + t) << n_obs);
+      if (!narrow) {
+        for (unsigned i = 0; i < kLimbs; ++i)
+          for (std::uint64_t x = mask.limb(i); x != 0; x &= x - 1)
+            ++row[keys[i][std::countr_zero(x)]];
+        continue;
+      }
+      levels[0] = mask;
+      for (std::size_t d = 0; d < n_obs; ++d) {
+        const Word w = cone.observed(d);
+        const std::size_t cnt = std::size_t{1} << d;
+        const Word* const src = levels.data() + (cnt - 1);
+        Word* const dst = levels.data() + (2 * cnt - 1);
+        for (std::size_t c = 0; c < cnt; ++c) {
+          dst[c] = src[c] & ~w;
+          dst[cnt + c] = src[c] & w;
+        }
+      }
+      const std::size_t width = std::size_t{1} << n_obs;
+      const Word* const leaves = levels.data() + (width - 1);
+      for (std::size_t key = 0; key < width; ++key)
+        row[key] += leaves[key].popcount();
+    }
+  }
+  return counts;
+}
+
+// First enumeration assignment hitting (want_secret, want_obs), in the
+// analysis variable order (bit j of the assignment index is vars[j]) — the
+// order the certificate assignments are pinned in. Blocks whose block bits
+// contradict the wanted secret hold no hit and are not evaluated; within a
+// block the hits are one word of lanes, and the lowest lane is the first.
+template <unsigned kLimbs>
+std::optional<std::uint64_t> first_hit_impl(const Analysis& a,
+                                            std::uint64_t want_secret,
+                                            std::uint64_t want_obs) {
+  using Word = common::SimdWord<kLimbs>;
+  constexpr std::size_t kLaneBits = ConeBlock<kLimbs>::kLaneBits;
+  std::vector<std::size_t> identity(a.vars.size());
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  ConeBlock<kLimbs> cone(a, std::move(identity));
+
+  const auto pick = [](std::uint64_t want, std::size_t k, const Word& w) {
+    return ((want >> k) & 1u) ? w : ~w;
+  };
+
+  for (std::size_t block = 0; block < cone.blocks(); ++block) {
+    bool possible = true;
+    for (std::size_t k = 0; k < a.secret_var_indices.size(); ++k) {
+      const std::size_t v = a.secret_var_indices[k];
+      if (v >= kLaneBits && ((block >> (v - kLaneBits)) & 1u) !=
+                                ((want_secret >> k) & 1u))
+        possible = false;
+    }
+    if (!possible) continue;
+    // Below one full block, lane L >= 2^nv repeats the assignment of lane
+    // L mod 2^nv, so the lowest hit is always a real one.
+    Word match = ~cone.run(block);
+    for (std::size_t k = 0; k < a.secret_var_indices.size(); ++k)
+      match &= pick(want_secret, k, cone.var(a.secret_var_indices[k]));
+    for (std::size_t k = 0; k < a.observation.size(); ++k)
+      match &= pick(want_obs, k, cone.observed(k));
+    for (unsigned i = 0; i < kLimbs; ++i)
+      if (const std::uint64_t m = match.limb(i); m != 0)
+        return (block << kLaneBits) | (std::uint64_t{i} * 64) |
+               static_cast<std::uint64_t>(std::countr_zero(m));
+  }
+  return std::nullopt;
+}
+
+// Per-thread cone-walk buffers. The whole-netlist maps are valid where the
+// stamp equals `epoch`, so starting a walk costs nothing; they grow to the
+// largest unrolled netlist the thread has walked.
+struct WalkScratch {
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> pos;  ///< unrolled signal -> cone position
+  std::uint32_t epoch = 0;
+  std::vector<SignalId> stack;
+  std::vector<SignalId> cone;
 };
 
-struct Analysis {
-  std::vector<Var> vars;
-  std::vector<InputExpr> input_exprs;
-  std::vector<std::size_t> secret_var_indices;  // subset of vars
-  std::vector<SignalId> observation;            // unrolled signals, ordered
-  /// Variable groups constrained to "not all zero" — one per annotated
-  /// nonzero-bus instance the observation touches (GF(256)* enumeration).
-  std::vector<std::array<std::size_t, 8>> nonzero_groups;
-  bool feasible = true;
-};
+}  // namespace
 
 // The engine holds everything derived from the netlist once, shared by all
-// probe analyses.
+// probe analyses. It sits in the named detail namespace (its helpers above
+// are internal) so ProbeDistributionEngine::Impl can hold it without giving
+// a class with external linkage an internal-linkage subobject.
 class ExactEngine {
  public:
   ExactEngine(const Netlist& nl, const ExactOptions& options)
-      : nl_(nl), options_(options), supports_(nl) {
+      : nl_(nl),
+        options_(options),
+        supports_(nl),
+        lanes_(common::resolve_lanes(options.lanes)) {
     const std::size_t depth = sequential_depth(nl);
     const std::size_t extra = options.transitions ? 1 : 0;
     const std::size_t cycles =
@@ -99,10 +323,10 @@ class ExactEngine {
     require(cycles > depth + extra,
             "exact verifier: unroll depth must exceed sequential depth");
     unrolled_ = unroll(nl, cycles, options.held_inputs);
-    unrolled_supports_.emplace(unrolled_.nl);
-    // Index unrolled inputs by signal for classification.
+    input_index_.assign(unrolled_.nl.size(), kNoPos);
     for (std::size_t i = 0; i < unrolled_.nl.inputs().size(); ++i)
-      input_index_[unrolled_.nl.inputs()[i].signal] = i;
+      input_index_[unrolled_.nl.inputs()[i].signal] =
+          static_cast<std::uint32_t>(i);
   }
 
   const Netlist& netlist() const { return nl_; }
@@ -130,14 +354,50 @@ class ExactEngine {
     return obs;
   }
 
-  /// Variable structure for an observation set.
+  /// Variable structure and evaluation cone of an observation set. One
+  /// walk over the unrolled netlist yields both the cone and its input
+  /// support (the cone's inputs, ascending by unrolled id).
   Analysis analyze(const std::vector<SignalId>& observation) const {
     Analysis a;
     a.observation = observation;
+    const Netlist& unl = unrolled_.nl;
 
-    // Union of unrolled-input supports.
-    common::DynamicBitset support(unrolled_supports_->stable_points().size());
-    for (SignalId sig : observation) support |= unrolled_supports_->support(sig);
+    thread_local WalkScratch s;
+    if (s.stamp.size() < unl.size()) {
+      s.stamp.resize(unl.size(), 0);
+      s.pos.resize(unl.size());
+    }
+    if (++s.epoch == 0) {
+      std::fill(s.stamp.begin(), s.stamp.end(), 0);
+      s.epoch = 1;
+    }
+    s.cone.clear();
+    s.stack.assign(observation.begin(), observation.end());
+    while (!s.stack.empty()) {
+      const SignalId id = s.stack.back();
+      s.stack.pop_back();
+      if (s.stamp[id] == s.epoch) continue;
+      s.stamp[id] = s.epoch;
+      s.cone.push_back(id);
+      const netlist::Gate& g = unl.gate(id);
+      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
+        s.stack.push_back(g.fanin[k]);
+    }
+    std::sort(s.cone.begin(), s.cone.end());
+    for (std::size_t i = 0; i < s.cone.size(); ++i)
+      s.pos[s.cone[i]] = static_cast<std::uint32_t>(i);
+    const auto pos_of = [&](SignalId id) {
+      return s.stamp[id] == s.epoch ? s.pos[id] : kNoPos;
+    };
+    a.cone.resize(s.cone.size());
+    for (std::size_t i = 0; i < s.cone.size(); ++i) {
+      const netlist::Gate& g = unl.gate(s.cone[i]);
+      a.cone[i].kind = g.kind;
+      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
+        a.cone[i].fanin[k] = s.pos[g.fanin[k]];
+    }
+    for (const SignalId sig : observation)
+      a.observation_pos.push_back(s.pos[sig]);
 
     // Bucket share inputs by (secret, bit, cycle); randoms become free vars.
     struct Bucket {
@@ -146,12 +406,10 @@ class ExactEngine {
     std::map<std::tuple<std::uint32_t, std::uint32_t, std::size_t>, Bucket>
         buckets;
     std::vector<SignalId> free_inputs;
-    for (std::size_t idx : support.set_bits()) {
-      const SignalId sig = unrolled_supports_->stable_points()[idx];
-      const auto it = input_index_.find(sig);
-      SCA_ASSERT(it != input_index_.end(),
-                 "exact verifier: unrolled stable point is not an input");
-      const netlist::InputInfo& info = unrolled_.nl.inputs()[it->second];
+    for (const SignalId sig : s.cone) {
+      if (unl.kind(sig) != GateKind::kInput) continue;
+      const std::uint32_t ii = input_index_[sig];
+      const netlist::InputInfo& info = unl.inputs()[ii];
       switch (info.role) {
         case InputRole::kRandom:
           free_inputs.push_back(sig);
@@ -161,7 +419,7 @@ class ExactEngine {
           break;
         case InputRole::kShare:
           buckets[{info.share.secret, info.share.bit,
-                   unrolled_.input_cycle[it->second]}]
+                   unrolled_.input_cycle[ii]}]
               .shares.emplace_back(info.share.share, sig);
           break;
       }
@@ -191,17 +449,19 @@ class ExactEngine {
         const std::size_t v = a.vars.size();
         a.vars.push_back(Var{Var::Kind::kFree, 0, 0});
         share_vars.push_back(v);
-        a.input_exprs.push_back(InputExpr{bucket.shares[i].second, {v}});
+        const SignalId sig = bucket.shares[i].second;
+        a.input_exprs.push_back(InputExpr{sig, {v}, pos_of(sig)});
       }
       std::vector<std::size_t> last_expr = share_vars;
       last_expr.push_back(secret_var);
+      const SignalId last = bucket.shares.back().second;
       a.input_exprs.push_back(
-          InputExpr{bucket.shares.back().second, std::move(last_expr)});
+          InputExpr{last, std::move(last_expr), pos_of(last)});
     }
     for (SignalId sig : free_inputs) {
       const std::size_t v = a.vars.size();
       a.vars.push_back(Var{Var::Kind::kFree, 0, 0});
-      a.input_exprs.push_back(InputExpr{sig, {v}});
+      a.input_exprs.push_back(InputExpr{sig, {v}, pos_of(sig)});
     }
 
     // Constrained randomness: every annotated nonzero-bus instance with at
@@ -227,7 +487,7 @@ class ExactEngine {
           }
           if (!mapped) continue;
           bool any = false;
-          for (const SignalId s : uid) any = any || var_of_free.count(s) > 0;
+          for (const SignalId id : uid) any = any || var_of_free.count(id) > 0;
           if (!any) continue;
           if (!seen_instances.insert(uid).second) continue;
           std::array<std::size_t, 8> group{};
@@ -239,7 +499,7 @@ class ExactEngine {
             }
             const std::size_t v = a.vars.size();
             a.vars.push_back(Var{Var::Kind::kFree, 0, 0});
-            a.input_exprs.push_back(InputExpr{uid[i], {v}});
+            a.input_exprs.push_back(InputExpr{uid[i], {v}, pos_of(uid[i])});
             var_of_free.emplace(uid[i], v);
             group[i] = v;
           }
@@ -253,146 +513,11 @@ class ExactEngine {
     return a;
   }
 
-  /// Evaluation cone of an analysis over the unrolled netlist, ascending
-  /// (SSA ids: ascending = topological).
-  std::vector<SignalId> build_cone(const Analysis& a) const {
-    std::vector<SignalId> cone;
-    std::vector<bool> seen(unrolled_.nl.size(), false);
-    std::vector<SignalId> stack(a.observation.begin(), a.observation.end());
-    while (!stack.empty()) {
-      const SignalId id = stack.back();
-      stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      cone.push_back(id);
-      const netlist::Gate& g = unrolled_.nl.gate(id);
-      const std::size_t arity = netlist::gate_arity(g.kind);
-      for (std::size_t i = 0; i < arity; ++i) stack.push_back(g.fanin[i]);
-    }
-    std::sort(cone.begin(), cone.end());
-    return cone;
-  }
-
-  /// Evaluates the cone W-lane bit-parallel (W = 64 * kLimbs); inputs must
-  /// be driven in `values` beforehand.
-  template <unsigned kLimbs>
-  void eval_cone(const std::vector<SignalId>& cone,
-                 std::vector<common::SimdWord<kLimbs>>& values) const {
-    using Word = common::SimdWord<kLimbs>;
-    for (SignalId id : cone) {
-      const netlist::Gate& g = unrolled_.nl.gate(id);
-      switch (g.kind) {
-        case GateKind::kInput:
-          break;
-        case GateKind::kConst0:
-          values[id] = Word::zero();
-          break;
-        case GateKind::kConst1:
-          values[id] = Word::ones();
-          break;
-        case GateKind::kBuf:
-          values[id] = values[g.fanin[0]];
-          break;
-        case GateKind::kNot:
-          values[id] = ~values[g.fanin[0]];
-          break;
-        case GateKind::kAnd:
-          values[id] = values[g.fanin[0]] & values[g.fanin[1]];
-          break;
-        case GateKind::kNand:
-          values[id] = ~(values[g.fanin[0]] & values[g.fanin[1]]);
-          break;
-        case GateKind::kOr:
-          values[id] = values[g.fanin[0]] | values[g.fanin[1]];
-          break;
-        case GateKind::kNor:
-          values[id] = ~(values[g.fanin[0]] | values[g.fanin[1]]);
-          break;
-        case GateKind::kXor:
-          values[id] = values[g.fanin[0]] ^ values[g.fanin[1]];
-          break;
-        case GateKind::kXnor:
-          values[id] = ~(values[g.fanin[0]] ^ values[g.fanin[1]]);
-          break;
-        case GateKind::kMux:
-          values[id] = (~values[g.fanin[0]] & values[g.fanin[1]]) |
-                       (values[g.fanin[0]] & values[g.fanin[2]]);
-          break;
-        case GateKind::kReg:
-          SCA_ASSERT(false, "exact verifier: register in unrolled netlist");
-      }
-    }
-  }
-
-  /// Exact joint histogram counts[secret_value][observation_value] for an
-  /// analysis at one batch width. The counts are integers accumulated once
-  /// per enumerated assignment, so every width produces the identical
-  /// histogram; wider words just evaluate the cone fewer times.
-  template <unsigned kLimbs>
-  std::vector<std::vector<std::uint32_t>> enumerate_impl(
-      const Analysis& a) const {
-    using Word = common::SimdWord<kLimbs>;
-    constexpr std::size_t kLaneBits = 6 + std::countr_zero(kLimbs);
-    const std::size_t nv = a.vars.size();
-    const std::size_t n_secret = a.secret_var_indices.size();
-    const std::size_t n_obs = a.observation.size();
-    std::vector<std::vector<std::uint32_t>> counts(
-        std::size_t{1} << n_secret,
-        std::vector<std::uint32_t>(std::size_t{1} << n_obs, 0));
-
-    const std::vector<SignalId> cone = build_cone(a);
-
-    std::vector<Word> values(unrolled_.nl.size(), Word::zero());
-    const std::size_t blocks =
-        nv > kLaneBits ? (std::size_t{1} << (nv - kLaneBits)) : 1;
-    const std::size_t lanes_used =
-        nv >= kLaneBits ? Word::kLanes : (std::size_t{1} << nv);
-
-    std::vector<Word> var_words(nv, Word::zero());
-    for (std::size_t block = 0; block < blocks; ++block) {
-      for (std::size_t j = 0; j < nv; ++j)
-        var_words[j] = enumeration_word<kLimbs>(j, block);
-      // Drive inputs and evaluate the cone.
-      for (const InputExpr& expr : a.input_exprs) {
-        Word w = Word::zero();
-        for (std::size_t v : expr.var_indices) w ^= var_words[v];
-        values[expr.input] = w;
-      }
-      eval_cone<kLimbs>(cone, values);
-      // Lanes where some nonzero-constrained byte is all-zero are outside
-      // the constrained distribution and are not accumulated. The skip set
-      // only involves free variables, so every secret keeps the same total.
-      Word skip = Word::zero();
-      for (const auto& group : a.nonzero_groups) {
-        Word all_zero = Word::ones();
-        for (const std::size_t v : group) all_zero &= ~var_words[v];
-        skip |= all_zero;
-      }
-      // Accumulate.
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        const unsigned limb = static_cast<unsigned>(lane / 64);
-        const unsigned bit = static_cast<unsigned>(lane % 64);
-        if ((skip.limb(limb) >> bit) & 1u) continue;
-        std::uint64_t secret_value = 0;
-        for (std::size_t k = 0; k < n_secret; ++k)
-          secret_value |=
-              ((var_words[a.secret_var_indices[k]].limb(limb) >> bit) & 1u)
-              << k;
-        std::uint64_t obs_value = 0;
-        for (std::size_t k = 0; k < n_obs; ++k)
-          obs_value |= ((values[a.observation[k]].limb(limb) >> bit) & 1u)
-                       << k;
-        counts[secret_value][obs_value] += 1;
-      }
-    }
-    return counts;
-  }
-
-  /// Exact joint histogram counts[secret_value][observation_value] for an
-  /// analysis. secret_value packs the secret-bit variables in
-  /// secret_var_indices order. Batch width per ExactOptions::lanes.
-  std::vector<std::vector<std::uint32_t>> enumerate(const Analysis& a) const {
-    switch (common::resolve_lanes(options_.lanes) / 64) {
+  /// Exact joint histogram of an analysis, flat and secret-major; secret
+  /// values pack the secret-bit variables in secret_var_indices order.
+  /// Batch width per ExactOptions::lanes.
+  std::vector<std::uint32_t> enumerate(const Analysis& a) const {
+    switch (lanes_ / 64) {
       case 4:
         return enumerate_impl<4>(a);
       case 8:
@@ -408,73 +533,49 @@ class ExactEngine {
   std::vector<std::pair<std::string, bool>> preimage(
       const Analysis& a, std::uint64_t want_secret,
       std::uint64_t want_obs) const {
-    const std::size_t nv = a.vars.size();
-    const std::size_t n_secret = a.secret_var_indices.size();
-    const std::size_t n_obs = a.observation.size();
-    const std::vector<SignalId> cone = build_cone(a);
-
-    // 64-lane blocks are plenty here: preimage extraction stops at the
-    // first hit and only ever runs on one (secret, obs) certificate.
-    using Word = common::SimdWord<1>;
-    std::vector<Word> values(unrolled_.nl.size(), Word::zero());
-    const std::size_t blocks = nv > 6 ? (std::size_t{1} << (nv - 6)) : 1;
-    const std::size_t lanes_used = nv >= 6 ? 64 : (std::size_t{1} << nv);
-    std::vector<Word> var_words(nv, Word::zero());
-    for (std::size_t block = 0; block < blocks; ++block) {
-      for (std::size_t j = 0; j < nv; ++j)
-        var_words[j] = enumeration_word<1>(j, block);
-      for (const InputExpr& expr : a.input_exprs) {
-        Word w = Word::zero();
-        for (std::size_t v : expr.var_indices) w ^= var_words[v];
-        values[expr.input] = w;
-      }
-      eval_cone<1>(cone, values);
-      Word skip = Word::zero();
-      for (const auto& group : a.nonzero_groups) {
-        Word all_zero = Word::ones();
-        for (const std::size_t v : group) all_zero &= ~var_words[v];
-        skip |= all_zero;
-      }
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        if ((skip.limb(0) >> lane) & 1u) continue;
-        std::uint64_t secret_value = 0;
-        for (std::size_t k = 0; k < n_secret; ++k)
-          secret_value |=
-              ((var_words[a.secret_var_indices[k]].limb(0) >> lane) & 1u) << k;
-        if (secret_value != want_secret) continue;
-        std::uint64_t obs_value = 0;
-        for (std::size_t k = 0; k < n_obs; ++k)
-          obs_value |= ((values[a.observation[k]].limb(0) >> lane) & 1u) << k;
-        if (obs_value != want_obs) continue;
-        std::vector<std::pair<std::string, bool>> out;
-        out.reserve(a.input_exprs.size());
-        for (const InputExpr& expr : a.input_exprs)
-          out.emplace_back(unrolled_.nl.signal_name(expr.input),
-                           ((values[expr.input].limb(0) >> lane) & 1u) != 0);
-        return out;
-      }
+    std::optional<std::uint64_t> hit;
+    switch (lanes_ / 64) {
+      case 4:
+        hit = first_hit_impl<4>(a, want_secret, want_obs);
+        break;
+      case 8:
+        hit = first_hit_impl<8>(a, want_secret, want_obs);
+        break;
+      default:
+        hit = first_hit_impl<1>(a, want_secret, want_obs);
     }
-    return {};
+    if (!hit) return {};
+    std::vector<std::pair<std::string, bool>> out;
+    out.reserve(a.input_exprs.size());
+    for (const InputExpr& e : a.input_exprs) {
+      std::uint64_t bit = 0;
+      for (const std::size_t v : e.var_indices) bit ^= (*hit >> v) & 1u;
+      out.emplace_back(unrolled_.nl.signal_name(e.input), bit != 0);
+    }
+    return out;
   }
 
  private:
   const Netlist& nl_;
   ExactOptions options_;
   netlist::StableSupport supports_;
+  unsigned lanes_;
   Unrolled unrolled_;
-  std::optional<netlist::StableSupport> unrolled_supports_;
-  std::unordered_map<SignalId, std::size_t> input_index_;
+  std::vector<std::uint32_t> input_index_;  ///< unrolled input -> index
 };
 
-// Total-variation distance between two equal-total histograms.
-double tv_distance(const std::vector<std::uint32_t>& p,
-                   const std::vector<std::uint32_t>& q) {
+}  // namespace detail
+
+namespace {
+
+// Total-variation distance between two equal-total count histograms.
+double tv_distance(std::span<const std::uint32_t> p,
+                   std::span<const std::uint32_t> q) {
   std::uint64_t total_p = 0, total_q = 0, abs_diff_doubled = 0;
   for (std::size_t i = 0; i < p.size(); ++i) {
     total_p += p[i];
     total_q += q[i];
-    abs_diff_doubled +=
-        p[i] > q[i] ? (p[i] - q[i]) : (q[i] - p[i]);
+    abs_diff_doubled += p[i] > q[i] ? (p[i] - q[i]) : (q[i] - p[i]);
   }
   SCA_ASSERT(total_p == total_q, "tv_distance: histogram totals differ");
   if (total_p == 0) return 0.0;
@@ -482,11 +583,10 @@ double tv_distance(const std::vector<std::uint32_t>& p,
          static_cast<double>(total_p);
 }
 
-}  // namespace exact_detail
+}  // namespace
 
-using exact_detail::Analysis;
-using exact_detail::ExactEngine;
-using exact_detail::tv_distance;
+using detail::Analysis;
+using detail::ExactEngine;
 
 std::vector<const ExactProbeResult*> ExactReport::leaking() const {
   std::vector<const ExactProbeResult*> out;
@@ -544,9 +644,13 @@ ExactReport verify_first_order_glitch(const Netlist& nl,
         } else if (!analysis.secret_var_indices.empty()) {
           // (An observation that cannot reach any complete sharing is
           // trivially secure and needs no enumeration.)
-          const auto counts = engine.enumerate(analysis);
-          for (std::size_t v = 1; v < counts.size(); ++v) {
-            const double tv = tv_distance(counts[0], counts[v]);
+          const std::vector<std::uint32_t> counts = engine.enumerate(analysis);
+          const std::size_t width = std::size_t{1} << observation.size();
+          const std::span<const std::uint32_t> all(counts);
+          for (std::size_t v = 1; v < (counts.size() >> observation.size());
+               ++v) {
+            const double tv = tv_distance(all.first(width),
+                                          all.subspan(v * width, width));
             if (tv > result.max_tv_distance) {
               result.max_tv_distance = tv;
               result.witness_a = 0;
@@ -576,9 +680,11 @@ exact_probe_distribution(const Netlist& nl, SignalId probe,
   require(dist.feasible,
           "exact_probe_distribution: probe exceeds enumeration limits");
   std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> out;
-  for (std::size_t v = 0; v < dist.counts.size(); ++v)
-    for (std::size_t o = 0; o < dist.counts[v].size(); ++o)
-      if (dist.counts[v][o]) out[v][o] = dist.counts[v][o];
+  for (std::size_t v = 0; v < dist.rows(); ++v) {
+    const std::span<const std::uint32_t> row = dist.row(v);
+    for (std::size_t o = 0; o < row.size(); ++o)
+      if (row[o]) out[v][o] = row[o];
+  }
   return out;
 }
 
@@ -628,6 +734,15 @@ std::vector<std::pair<std::string, bool>> ProbeDistributionEngine::preimage(
   const Analysis analysis = engine.analyze(observation);
   if (!analysis.feasible) return {};
   return engine.preimage(analysis, secret, obs);
+}
+
+Analysis ProbeDistributionEngine::analysis(SignalId probe) const {
+  const ExactEngine& engine = impl_->engine;
+  return engine.analyze(engine.observation_of(probe));
+}
+
+const Netlist& ProbeDistributionEngine::unrolled_netlist() const {
+  return impl_->engine.unrolled_netlist();
 }
 
 std::string to_string(const ExactReport& report) {

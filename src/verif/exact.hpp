@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,10 +120,23 @@ struct ProbeDistribution {
   /// observation value is observation[k].
   std::vector<std::string> observation;
   std::size_t free_bits = 0;
-  /// counts[v][o] = exact count of observation o given secret value v;
-  /// empty when infeasible or no secret is reachable.
-  std::vector<std::vector<std::uint32_t>> counts;
+  /// Secret-major flat histogram: counts[(v << observation.size()) | o] =
+  /// exact count of observation o given secret value v. Empty when
+  /// infeasible or no secret is reachable.
+  std::vector<std::uint32_t> counts;
+
+  /// The 2^observation.size() counts of secret value v.
+  std::span<const std::uint32_t> row(std::uint64_t v) const {
+    const std::size_t width = std::size_t{1} << observation.size();
+    return std::span<const std::uint32_t>(counts).subspan(v * width, width);
+  }
+  /// Number of secret values (rows); 0 when counts is empty.
+  std::size_t rows() const { return counts.size() >> observation.size(); }
 };
+
+namespace detail {
+struct Analysis;
+}
 
 /// Amortizes the unrolling and support analysis over many probe queries on
 /// one netlist — the certificate generator behind lint findings. All
@@ -142,6 +156,11 @@ class ProbeDistributionEngine {
   std::vector<std::pair<std::string, bool>> preimage(netlist::SignalId probe,
                                                      std::uint64_t secret,
                                                      std::uint64_t obs) const;
+
+  /// The enumeration problem behind distribution(probe) and the unrolled
+  /// netlist it refers to (exact_detail.hpp) — for equivalence tests.
+  detail::Analysis analysis(netlist::SignalId probe) const;
+  const netlist::Netlist& unrolled_netlist() const;
 
  private:
   struct Impl;

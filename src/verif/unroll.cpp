@@ -94,6 +94,9 @@ Unrolled unroll(const Netlist& nl, std::size_t cycles,
     held[id] = true;
   }
 
+  std::vector<const netlist::InputInfo*> info_of(nl.size(), nullptr);
+  for (const auto& in : nl.inputs()) info_of[in.signal] = &in;
+
   Unrolled out;
   out.cycles = cycles;
   out.map.assign(cycles, std::vector<SignalId>(nl.size(), netlist::kNoSignal));
@@ -111,9 +114,7 @@ Unrolled unroll(const Netlist& nl, std::size_t cycles,
             break;
           }
           // Fresh input instance per cycle.
-          const netlist::InputInfo* info = nullptr;
-          for (const auto& in : nl.inputs())
-            if (in.signal == id) info = &in;
+          const netlist::InputInfo* info = info_of[id];
           SCA_ASSERT(info != nullptr, "unroll: input without info");
           mapped = out.nl.add_input(
               info->role,

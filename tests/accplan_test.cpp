@@ -22,20 +22,19 @@
 #include "src/core/accplan.hpp"
 #include "src/core/campaign.hpp"
 #include "src/gadgets/bus.hpp"
-#include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 #include "src/netlist/ir.hpp"
 #include "tests/reference_campaign.hpp"
+#include "tests/test_util.hpp"
 
 namespace sca {
 namespace {
 
 namespace ap = eval::accplan;
 
-using gadgets::Bus;
 using gadgets::RandomnessPlan;
-using netlist::InputRole;
 using netlist::Netlist;
+using testutil::kronecker_netlist;
 
 // --- planner unit tests ------------------------------------------------------
 
@@ -186,21 +185,6 @@ TEST(AccPlan, TtestForcesHwRegimeAndDisablesHosting) {
 
 // --- campaign-level bit-identity --------------------------------------------
 
-Netlist kronecker_netlist(const RandomnessPlan& plan, std::size_t shares) {
-  Netlist nl;
-  std::vector<Bus> buses;
-  for (std::size_t i = 0; i < shares; ++i)
-    buses.push_back(gadgets::make_input_bus(
-        nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
-        static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, buses, plan);
-  return nl;
-}
-
-Netlist kronecker_netlist() {
-  return kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6(), 2);
-}
-
 Netlist sbox_netlist() {
   Netlist nl;
   gadgets::MaskedSboxOptions options;
@@ -253,7 +237,7 @@ TEST(AccPlanCampaign, FusedMatchesScalarOracleAcrossLanesAndThreads) {
   // the 2-D shard schedule are all plan structure, never statistics — the
   // fused pipeline at every lane width and thread count must reproduce the
   // scalar per-set reference bit for bit.
-  const Netlist nl = kronecker_netlist();
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
   const auto reference =
       testutil::reference_campaign(nl, campaign_options(12000));
   for (unsigned lanes : {64u, 256u, 512u}) {
@@ -293,7 +277,7 @@ TEST(AccPlanCampaign, SboxHostingPreservesStatistics) {
 TEST(AccPlanCampaign, CompactedRegimeFusedMatchesScalar) {
   // Glitch+transition doubles every key width; a tight observation cap
   // forces wide sets into the compacted HW-pair regime.
-  const Netlist nl = kronecker_netlist();
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
   eval::CampaignOptions opts = campaign_options(8000);
   opts.model = eval::ProbeModel::kGlitchTransition;
   opts.max_observation_bits = 6;
@@ -310,7 +294,7 @@ TEST(AccPlanCampaign, CompactedRegimeFusedMatchesScalar) {
 }
 
 TEST(AccPlanCampaign, TtestFusedMatchesScalar) {
-  const Netlist nl = kronecker_netlist();
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
   eval::CampaignOptions opts = campaign_options(8000);
   opts.statistic = eval::Statistic::kWelchTTest;
   opts.threads = 2;
@@ -326,7 +310,7 @@ TEST(AccPlanCampaign, ProbeSetShardsEngageAndPreserveStatistics) {
   // scale by splitting the probe sets into shards; each (chunk, shard)
   // cell re-simulates its chunk. The shard schedule must engage and leave
   // every statistic bit-identical to the single-threaded run.
-  const Netlist nl = kronecker_netlist();
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
   eval::CampaignOptions single_opts = campaign_options(12000);
   single_opts.threads = 1;
   const eval::CampaignResult single = eval::run_fixed_vs_random(nl, single_opts);

@@ -3,6 +3,8 @@
 // every way it fails to be a real distinguisher.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,8 +14,8 @@
 
 namespace sca::testutil {
 
-// Replays one finding's certificate through verif::exact_probe_distribution
-// and collects every way it fails to be a real distinguisher: the two
+// Replays one finding's certificate through a fresh exact engine and
+// collects every way it fails to be a real distinguisher: the two
 // secret values must induce different distributions and the chosen
 // observation must separate them with exactly the recorded counts. Returns
 // human-readable problems (empty = valid certificate); gtest-free so it can
@@ -32,17 +34,18 @@ inline std::vector<std::string> certificate_problems(
   if (cert.count_a <= cert.count_b) fail("counts do not separate");
   if (cert.assignment.empty()) fail("no witness assignment");
 
-  const auto distributions =
-      verif::exact_probe_distribution(nl, f.probe, exact_options);
-  const auto& dist_a = distributions.at(cert.secret_a);
-  const auto& dist_b = distributions.at(cert.secret_b);
-  if (dist_a == dist_b) fail("distributions are identical on replay");
-  const auto it_a = dist_a.find(cert.observation);
-  if (it_a == dist_a.end() || it_a->second != cert.count_a)
-    fail("count_a does not replay");
-  const auto it_b = dist_b.find(cert.observation);
-  if ((it_b == dist_b.end() ? 0u : it_b->second) != cert.count_b)
-    fail("count_b does not replay");
+  const verif::ProbeDistribution dist =
+      verif::ProbeDistributionEngine(nl, exact_options).distribution(f.probe);
+  if (!dist.feasible) return {f.message + " — " + dist.infeasible_reason};
+  if (cert.secret_a >= dist.rows() || cert.secret_b >= dist.rows() ||
+      cert.observation >= (std::uint64_t{1} << dist.observation.size()))
+    return {f.message + " — certificate outside the replayed distribution"};
+  const auto row_a = dist.row(cert.secret_a);
+  const auto row_b = dist.row(cert.secret_b);
+  if (std::equal(row_a.begin(), row_a.end(), row_b.begin()))
+    fail("distributions are identical on replay");
+  if (row_a[cert.observation] != cert.count_a) fail("count_a does not replay");
+  if (row_b[cert.observation] != cert.count_b) fail("count_b does not replay");
   return problems;
 }
 

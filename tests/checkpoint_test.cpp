@@ -26,28 +26,15 @@
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/gadgets/bus.hpp"
-#include "src/gadgets/kronecker.hpp"
 #include "src/netlist/ir.hpp"
+#include "tests/test_util.hpp"
 
 namespace sca::eval {
 namespace {
 
-using gadgets::Bus;
 using gadgets::RandomnessPlan;
-using netlist::InputRole;
 using netlist::Netlist;
-
-Netlist kronecker_netlist(const RandomnessPlan& plan,
-                          std::size_t share_count = 2) {
-  Netlist nl;
-  std::vector<Bus> shares;
-  for (std::size_t i = 0; i < share_count; ++i)
-    shares.push_back(gadgets::make_input_bus(
-        nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
-        static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, shares, plan);
-  return nl;
-}
+using testutil::kronecker_netlist;
 
 CampaignOptions staged_options(std::size_t sims, unsigned stages,
                                unsigned threads) {

@@ -14,31 +14,20 @@
 #include "src/core/search.hpp"
 #include "src/gadgets/bus.hpp"
 #include "src/gadgets/dom.hpp"
-#include "src/gadgets/kronecker.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/ir.hpp"
 #include "src/sim/simulator.hpp"
 #include "tests/reference_campaign.hpp"
+#include "tests/test_util.hpp"
 
 namespace sca::eval {
 namespace {
 
-using gadgets::Bus;
 using gadgets::RandomnessPlan;
 using netlist::InputRole;
 using netlist::Netlist;
+using testutil::kronecker_netlist;
 using netlist::SignalId;
-
-Netlist kronecker_netlist(const RandomnessPlan& plan, std::size_t shares = 2) {
-  Netlist nl;
-  std::vector<Bus> share_buses;
-  for (std::size_t i = 0; i < shares; ++i)
-    share_buses.push_back(gadgets::make_input_bus(
-        nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
-        static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, share_buses, plan);
-  return nl;
-}
 
 CampaignOptions kron_options(ProbeModel model, std::size_t sims) {
   CampaignOptions opts;

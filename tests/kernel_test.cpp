@@ -20,7 +20,6 @@
 #include "src/common/simd.hpp"
 #include "src/core/campaign.hpp"
 #include "src/gadgets/bus.hpp"
-#include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_aes.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 #include "src/netlist/cone.hpp"
@@ -28,26 +27,15 @@
 #include "src/netlist/slice.hpp"
 #include "src/sim/simulator.hpp"
 #include "tests/reference_campaign.hpp"
+#include "tests/test_util.hpp"
 
 namespace sca {
 namespace {
 
-using gadgets::Bus;
 using gadgets::RandomnessPlan;
-using netlist::InputRole;
 using netlist::Netlist;
 using netlist::SignalId;
-
-Netlist kronecker_netlist(const RandomnessPlan& plan) {
-  Netlist nl;
-  std::vector<Bus> shares;
-  for (std::size_t i = 0; i < 2; ++i)
-    shares.push_back(gadgets::make_input_bus(
-        nl, 8, InputRole::kShare, "b" + std::to_string(i) + "_", 0,
-        static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, shares, plan);
-  return nl;
-}
+using testutil::kronecker_netlist;
 
 Netlist sbox_netlist() {
   Netlist nl;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
+#include "src/common/names.hpp"
 #include "src/netlist/celllib.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/export.hpp"
@@ -302,16 +303,16 @@ TEST(TextIo, RoundTripPreservesRandomnessAnnotations) {
   Netlist nl;
   std::vector<SignalId> r(8), s0(8), s1(8), out(8);
   for (std::size_t i = 0; i < 8; ++i)
-    r[i] = nl.add_input(InputRole::kRandom, "r" + std::to_string(i));
+    r[i] = nl.add_input(InputRole::kRandom, common::make_name("r", i));
   for (std::size_t i = 0; i < 8; ++i)
-    s0[i] = nl.add_input(InputRole::kShare, "a" + std::to_string(i),
+    s0[i] = nl.add_input(InputRole::kShare, common::make_name("a", i),
                          ShareLabel{0, 0, static_cast<std::uint32_t>(i)});
   for (std::size_t i = 0; i < 8; ++i)
-    s1[i] = nl.add_input(InputRole::kShare, "b" + std::to_string(i),
+    s1[i] = nl.add_input(InputRole::kShare, common::make_name("b", i),
                          ShareLabel{0, 1, static_cast<std::uint32_t>(i)});
   for (std::size_t i = 0; i < 8; ++i) {
     out[i] = nl.xor_(s0[i], r[i]);
-    nl.add_output("y" + std::to_string(i), out[i]);
+    nl.add_output(common::make_name("y", i), out[i]);
   }
   nl.add_nonzero_bus(r);
   nl.add_nonzero_sharing({s0, s1});

@@ -35,7 +35,6 @@
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/gadgets/bus.hpp"
-#include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 #include "src/lint/linter.hpp"
 #include "src/netlist/ir.hpp"
@@ -46,12 +45,14 @@
 #include "src/service/job.hpp"
 #include "src/service/json.hpp"
 #include "src/service/worker.hpp"
+#include "tests/test_util.hpp"
 
 namespace sca::service {
 namespace {
 
 namespace fs = std::filesystem;
 using gadgets::RandomnessPlan;
+using testutil::kronecker_netlist;
 
 // --- fixtures ---------------------------------------------------------------
 
@@ -61,17 +62,6 @@ std::string fresh_dir(const std::string& tag) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-netlist::Netlist kronecker_netlist(const RandomnessPlan& plan) {
-  netlist::Netlist nl;
-  std::vector<gadgets::Bus> shares;
-  for (std::size_t i = 0; i < 2; ++i)
-    shares.push_back(gadgets::make_input_bus(
-        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
-        static_cast<std::uint32_t>(i)));
-  gadgets::build_kronecker(nl, shares, plan);
-  return nl;
 }
 
 JobSpec kronecker_spec(const RandomnessPlan& plan, std::size_t sims) {
