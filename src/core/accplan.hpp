@@ -61,9 +61,9 @@ struct PlanSetInput {
 
 /// Exact sets at or below this width use the narrow conjunction regime.
 /// 8 balances the 2^bits expansion cost against the transpose path's
-/// per-lane table updates (measured via SCA_DEBUG_ACC on the E2 campaign;
-/// the expansion is one vector op per combo, so it wins as long as the
-/// per-key popcount vectorizes), and it bounds the trie's combo stack.
+/// per-lane table updates (measured per accumulation path on the E2
+/// campaign; the expansion is one vector op per combo, so it wins as long as
+/// the per-key popcount vectorizes), and it bounds the trie's combo stack.
 inline constexpr std::size_t kNarrowBits = 8;
 
 struct PlanOptions {

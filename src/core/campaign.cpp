@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -63,40 +61,6 @@ struct WorkerCtx {
   double accumulate_seconds = 0.0;
   SubPhaseSeconds sub;
 };
-
-// SCA_DEBUG_ACC=1 breaks the accumulate phase down by path (cumulative
-// process-wide nanoseconds, printed to stderr after every campaign) — the
-// profiling hook behind the kernel's throughput tuning.
-struct AccPathNanos {
-  std::atomic<std::uint64_t> ttest{0};
-  std::atomic<std::uint64_t> compacted{0};
-  std::atomic<std::uint64_t> narrow{0};
-  std::atomic<std::uint64_t> packed{0};
-};
-AccPathNanos g_acc_path_nanos;
-
-bool acc_debug_enabled() {
-  static const bool on = std::getenv("SCA_DEBUG_ACC") != nullptr;
-  return on;
-}
-
-void report_acc_debug() {
-  if (!acc_debug_enabled()) return;
-  const AccPathNanos& n = g_acc_path_nanos;
-  std::fprintf(stderr,
-               "accumulate paths (cumulative): ttest %.3fs "
-               "compacted %.3fs narrow %.3fs packed %.3fs\n",
-               n.ttest.load() * 1e-9, n.compacted.load() * 1e-9,
-               n.narrow.load() * 1e-9, n.packed.load() * 1e-9);
-}
-
-void debug_charge(std::atomic<std::uint64_t>& bucket, Clock::time_point start,
-                  Clock::time_point end) {
-  if (acc_debug_enabled())
-    bucket += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-}
 
 // --- plan executor ------------------------------------------------------------
 //
@@ -333,30 +297,19 @@ void execute_shard(const accplan::AccumulationPlan& plan, std::size_t shard,
                    const std::vector<Sample>& buf, bool transitions,
                    WorkerCtx& ctx) {
   const accplan::ShardProgram& prog = plan.shards[shard];
-  if (!prog.ttest.empty()) {
-    const auto t0 = Clock::now();
+  if (!prog.ttest.empty())
     accumulate_ttest<kLimbs>(plan, prog, buf, transitions, ctx);
-    debug_charge(g_acc_path_nanos.ttest, t0, Clock::now());
-  }
   if (!prog.trie.empty()) {
     const auto t0 = Clock::now();
     accumulate_narrow<kLimbs>(plan, prog, buf, ctx);
-    const auto t1 = Clock::now();
-    ctx.sub.histogram += seconds_between(t0, t1);
-    debug_charge(g_acc_path_nanos.narrow, t0, t1);
+    ctx.sub.histogram += seconds_between(t0, Clock::now());
   }
   if (!prog.compacted.empty()) {
     const auto t0 = Clock::now();
     accumulate_compacted<kLimbs>(plan, prog, buf, transitions, ctx);
-    const auto t1 = Clock::now();
-    ctx.sub.histogram += seconds_between(t0, t1);
-    debug_charge(g_acc_path_nanos.compacted, t0, t1);
+    ctx.sub.histogram += seconds_between(t0, Clock::now());
   }
-  if (!prog.packed.empty()) {
-    const auto t0 = Clock::now();
-    accumulate_packed<kLimbs>(plan, prog, buf, ctx);
-    debug_charge(g_acc_path_nanos.packed, t0, Clock::now());
-  }
+  if (!prog.packed.empty()) accumulate_packed<kLimbs>(plan, prog, buf, ctx);
 }
 
 void execute_plan_shard(const accplan::AccumulationPlan& plan,
@@ -1528,7 +1481,6 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
             [](const ProbeSetResult& a, const ProbeSetResult& b) {
               return a.minus_log10_p > b.minus_log10_p;
             });
-  report_acc_debug();
   return result;
 }
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -47,19 +44,6 @@ std::string joined_names(const std::vector<Probe>& universe,
     name += universe[pi].name;
   }
   return name;
-}
-
-// SCA_DEBUG_SETS=1 prints the prepared sets' width histogram to stderr.
-void debug_print_sets(const std::vector<PreparedSet>& sets) {
-  if (!std::getenv("SCA_DEBUG_SETS")) return;
-  std::map<std::size_t, std::size_t> exact_hist, compact_hist;
-  for (const auto& p : sets)
-    (p.compacted ? compact_hist : exact_hist)[p.observation_bits]++;
-  std::fprintf(stderr, "sets=%zu exact:", sets.size());
-  for (auto [b, n] : exact_hist) std::fprintf(stderr, " %zub x%zu", b, n);
-  std::fprintf(stderr, " | compacted:");
-  for (auto [b, n] : compact_hist) std::fprintf(stderr, " %zub x%zu", b, n);
-  std::fprintf(stderr, "\n");
 }
 
 }  // namespace
@@ -107,7 +91,6 @@ PreparedSets prepare_probe_sets(const Netlist& nl,
     out.sets.push_back(std::move(p));
   }
   for (const PreparedSet& p : out.sets) out.aliases += p.aliases.size();
-  debug_print_sets(out.sets);
   return out;
 }
 
@@ -181,134 +164,6 @@ InputFeeder::InputFeeder(const Netlist& nl, const CampaignOptions& options)
       plain_randoms_.push_back(in.signal);
   plain_slot0_ = slots;
   bus_slot0_ = slots + static_cast<std::uint32_t>(plain_randoms_.size());
-}
-
-void InputFeeder::feed_cycle(sim::Simulator& simulator, const CounterPrg& prg,
-                             std::size_t run0, unsigned active, int group,
-                             std::size_t cycle_in_group) const {
-  constexpr unsigned kMaxLimbs = 8;
-  std::uint64_t cyc[kMaxLimbs];
-  for (unsigned b = 0; b < active; ++b)
-    cyc[b] = (static_cast<std::uint64_t>(run0 + b) * 2 +
-              static_cast<std::uint64_t>(group)) *
-                 cycles_per_group +
-             cycle_in_group;
-  const bool fixed_group = group == 0;
-  std::uint64_t acc[8][kMaxLimbs];
-  std::uint64_t mask_plane[8][kMaxLimbs];
-  for (const Group& g : groups_) {
-    if (fixed_group && !null_calibration_) {
-      for (std::uint32_t p = 0; p < g.bits; ++p) {
-        const std::uint64_t w =
-            (g.fixed_byte >> p) & 1u ? ~std::uint64_t{0} : 0;
-        for (unsigned b = 0; b < active; ++b) acc[p][b] = w;
-      }
-    } else {
-      for (unsigned b = 0; b < active; ++b) {
-        const CounterPrg::Stream s = prg.stream(cyc[b], g.secret_slot);
-        for (std::uint32_t p = 0; p < g.bits; ++p)
-          acc[p][b] = CounterPrg::word_at(s, p);
-      }
-    }
-    const std::size_t num_shares = g.share_bits.size();
-    for (std::size_t sh = 0; sh + 1 < num_shares; ++sh) {
-      for (unsigned b = 0; b < active; ++b) {
-        const CounterPrg::Stream s = prg.stream(
-            cyc[b], g.shares_slot0 + static_cast<std::uint32_t>(sh));
-        for (std::uint32_t p = 0; p < g.bits; ++p) {
-          const std::uint64_t m = CounterPrg::word_at(s, p);
-          mask_plane[p][b] = m;
-          acc[p][b] ^= m;
-        }
-      }
-      for (std::uint32_t p = 0; p < g.bits; ++p) {
-        std::uint64_t* dst = simulator.input_limbs(g.share_bits[sh][p]);
-        for (unsigned b = 0; b < active; ++b) dst[b] = mask_plane[p][b];
-      }
-    }
-    for (std::uint32_t p = 0; p < g.bits; ++p) {
-      std::uint64_t* dst =
-          simulator.input_limbs(g.share_bits[num_shares - 1][p]);
-      for (unsigned b = 0; b < active; ++b) dst[b] = acc[p][b];
-    }
-  }
-  for (std::size_t i = 0; i < plain_randoms_.size(); ++i) {
-    std::uint64_t* dst = simulator.input_limbs(plain_randoms_[i]);
-    const std::uint32_t slot = plain_slot0_ + static_cast<std::uint32_t>(i);
-    for (unsigned b = 0; b < active; ++b)
-      dst[b] = CounterPrg::word_at(prg.stream(cyc[b], slot), 0);
-  }
-  for (std::size_t bi = 0; bi < nonzero_buses_.size(); ++bi) {
-    const gadgets::Bus& bus = nonzero_buses_[bi];
-    const std::uint32_t slot = bus_slot0_ + static_cast<std::uint32_t>(bi);
-    const std::size_t nbits = bus.size();
-    SCA_ASSERT(nbits >= 1 && nbits <= 8,
-               "campaign: nonzero buses are 1..8 bits");
-    std::uint64_t planes[8][kMaxLimbs];
-    for (unsigned b = 0; b < active; ++b) {
-      const CounterPrg::Stream s = prg.stream(cyc[b], slot);
-      std::uint64_t pl[8];
-      std::uint64_t nonzero = 0;
-      for (std::size_t p = 0; p < nbits; ++p) {
-        pl[p] = CounterPrg::word_at(s, static_cast<std::uint32_t>(p));
-        nonzero |= pl[p];
-      }
-      std::uint32_t widx = 8;
-      for (std::uint64_t zero = ~nonzero; zero; widx += 8) {
-        std::uint64_t redrawn = 0;
-        for (std::size_t p = 0; p < nbits; ++p) {
-          const std::uint64_t d =
-              CounterPrg::word_at(s, widx + static_cast<std::uint32_t>(p));
-          pl[p] |= d & zero;
-          redrawn |= d;
-        }
-        zero &= ~redrawn;
-      }
-      for (std::size_t p = 0; p < nbits; ++p) planes[p][b] = pl[p];
-    }
-    for (std::size_t p = 0; p < nbits; ++p) {
-      std::uint64_t* dst = simulator.input_limbs(bus[p]);
-      for (unsigned b = 0; b < active; ++b) dst[b] = planes[p][b];
-    }
-  }
-}
-
-void produce_samples(sim::Simulator& simulator, const InputFeeder& feeder,
-                     const CounterPrg& prg, std::size_t run, unsigned active,
-                     bool transitions, const std::vector<SignalId>& rows,
-                     std::vector<Sample>& out) {
-  const unsigned limbs = simulator.limbs();
-  const auto snapshot = [&](std::vector<std::uint64_t>& into) {
-    into.resize(rows.size() * limbs);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      std::memcpy(into.data() + i * limbs, simulator.value_limbs(rows[i]),
-                  limbs * sizeof(std::uint64_t));
-  };
-  // Samples are overwritten in place, so a reused buffer keeps its rows'
-  // storage from one wide run to the next.
-  out.resize(2 * feeder.samples_per_run);
-  auto sample = out.begin();
-  for (int group = 0; group < 2; ++group) {
-    simulator.reset();
-    // A sample in the first cycle after the reset (no warmup) sees the
-    // all-zero reset state as its previous cycle.
-    std::size_t next = feeder.warmup_cycles + feeder.sample_interval - 1;
-    if (transitions && next == 0) sample->prev.assign(rows.size() * limbs, 0);
-    for (std::size_t cycle = 0; cycle < feeder.cycles_per_group; ++cycle) {
-      feeder.feed_cycle(simulator, prg, run, active, group, cycle);
-      simulator.settle();
-      if (cycle == next) {
-        sample->group = group;
-        sample->active = active;
-        snapshot(sample->now);
-        ++sample;
-        next += feeder.sample_interval;
-      }
-      if (transitions && cycle + 1 == next && next < feeder.cycles_per_group)
-        snapshot(sample->prev);
-      simulator.clock();
-    }
-  }
 }
 
 }  // namespace sca::eval::detail

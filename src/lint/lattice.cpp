@@ -1,8 +1,6 @@
 #include "src/lint/lattice.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <span>
@@ -13,6 +11,7 @@
 #include "src/common/check.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/gf/gf256.hpp"
+#include "src/sim/tape.hpp"
 
 namespace sca::lint {
 
@@ -62,10 +61,11 @@ bool gadget_cone(const Netlist& nl, const GfGadget& g,
     seen[id] = true;
     if (is_leaf(id)) continue;
     const netlist::Gate& gate = nl.gate(id);
-    require(gate.kind != GateKind::kInput && gate.kind != GateKind::kReg,
-            "gf gadget annotation on " + nl.signal_name(g.out[0]) +
-                ": cone reaches non-operand sequential/input signal " +
-                nl.signal_name(id));
+    if (gate.kind == GateKind::kInput || gate.kind == GateKind::kReg)
+      throw common::Error(
+          "gf gadget annotation on " + nl.signal_name(g.out[0]) +
+          ": cone reaches non-operand sequential/input signal " +
+          nl.signal_name(id));
     cone.push_back(id);
     for (std::size_t k = 0; k < netlist::gate_arity(gate.kind); ++k)
       stack.push_back(gate.fanin[k]);
@@ -130,106 +130,62 @@ struct GoldenPlanes {
 
 /// Exhaustive bit-parallel check that the gadget's cone computes the golden
 /// GF(2^8) function of its operands (2^16 assignments for MUL, 2^8 for
-/// INV/SQUARE), on values local to the cone: slots 0..7 drive a, 8..15
-/// drive b, and slot 16 + i holds cone[i]. Throws common::Error on any
-/// mismatch.
+/// INV/SQUARE). The cone runs on the sim tape of a gate list local to it:
+/// entries 0..7 are sources driven by a, 8..15 by b, and entry 16 + i is
+/// cone[i]. Throws common::Error on any mismatch.
 void check_gadget(const Netlist& nl, const GfGadget& g,
                   const std::vector<SignalId>& cone) {
   const bool binary = g.kind == GfGadgetKind::kMul;
   const GoldenPlanes& golden = GoldenPlanes::of(g.kind);
 
-  // Signal -> local slot. Operand bits are listed a0, b0, a1, b1, ... so a
+  // Signal -> local entry. Operand bits are listed a0, b0, a1, b1, ... so a
   // signal declared in both operands reads as its last declaration.
-  std::vector<std::pair<SignalId, std::uint32_t>> slot_of;
+  std::vector<std::pair<SignalId, std::uint32_t>> entry_of;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    slot_of.emplace_back(g.a[i], i);
-    if (binary) slot_of.emplace_back(g.b[i], 8 + i);
+    entry_of.emplace_back(g.a[i], i);
+    if (binary) entry_of.emplace_back(g.b[i], 8 + i);
   }
-  std::reverse(slot_of.begin(), slot_of.end());
-  std::stable_sort(slot_of.begin(), slot_of.end(),
+  std::reverse(entry_of.begin(), entry_of.end());
+  std::stable_sort(entry_of.begin(), entry_of.end(),
                    [](const auto& x, const auto& y) { return x.first < y.first; });
-  slot_of.erase(std::unique(slot_of.begin(), slot_of.end(),
-                            [](const auto& x, const auto& y) {
-                              return x.first == y.first;
-                            }),
-                slot_of.end());
+  entry_of.erase(std::unique(entry_of.begin(), entry_of.end(),
+                             [](const auto& x, const auto& y) {
+                               return x.first == y.first;
+                             }),
+                 entry_of.end());
   for (std::uint32_t i = 0; i < cone.size(); ++i)
-    slot_of.emplace_back(cone[i], 16 + i);
-  std::sort(slot_of.begin(), slot_of.end());
-  const auto slot = [&](SignalId s) {
+    entry_of.emplace_back(cone[i], 16 + i);
+  std::sort(entry_of.begin(), entry_of.end());
+  const auto entry = [&](SignalId s) {
     const auto it = std::lower_bound(
-        slot_of.begin(), slot_of.end(), s,
-        [](const auto& entry, SignalId id) { return entry.first < id; });
-    SCA_ASSERT(it != slot_of.end() && it->first == s,
+        entry_of.begin(), entry_of.end(), s,
+        [](const auto& e, SignalId id) { return e.first < id; });
+    SCA_ASSERT(it != entry_of.end() && it->first == s,
                "gf gadget signal outside its cone");
     return it->second;
   };
 
-  struct LocalGate {
-    GateKind kind;
-    std::uint32_t fanin[3];
-  };
-  std::vector<LocalGate> gates(cone.size());
+  std::vector<netlist::Gate> gates(16 + cone.size(),
+                                   netlist::Gate{GateKind::kInput, {}});
   for (std::size_t i = 0; i < cone.size(); ++i) {
     const netlist::Gate& gate = nl.gate(cone[i]);
-    gates[i].kind = gate.kind;
+    gates[16 + i].kind = gate.kind;
     for (std::size_t k = 0; k < netlist::gate_arity(gate.kind); ++k)
-      gates[i].fanin[k] = slot(gate.fanin[k]);
+      gates[16 + i].fanin[k] = entry(gate.fanin[k]);
   }
-  std::array<std::uint32_t, 8> out_slot{};
-  for (std::size_t i = 0; i < 8; ++i) out_slot[i] = slot(g.out[i]);
+  std::array<std::uint32_t, 8> out_entry{};
+  for (std::size_t i = 0; i < 8; ++i) out_entry[i] = entry(g.out[i]);
+  const sim::Tape tape = sim::compile_tape(gates, out_entry);
 
-  std::vector<std::uint64_t> val(16 + cone.size(), 0);
+  std::vector<std::uint64_t> slots;
+  sim::reset_slots(tape, 1, slots);
   for (std::size_t k = 0; k < golden.blocks; ++k) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      val[i] = golden.operand[i * golden.blocks + k];
-      val[8 + i] = golden.operand[(8 + i) * golden.blocks + k];
-    }
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      const LocalGate& gate = gates[i];
-      const auto in = [&](std::size_t j) { return val[gate.fanin[j]]; };
-      std::uint64_t& v = val[16 + i];
-      switch (gate.kind) {
-        case GateKind::kConst0:
-          v = 0;
-          break;
-        case GateKind::kConst1:
-          v = ~std::uint64_t{0};
-          break;
-        case GateKind::kBuf:
-          v = in(0);
-          break;
-        case GateKind::kNot:
-          v = ~in(0);
-          break;
-        case GateKind::kAnd:
-          v = in(0) & in(1);
-          break;
-        case GateKind::kNand:
-          v = ~(in(0) & in(1));
-          break;
-        case GateKind::kOr:
-          v = in(0) | in(1);
-          break;
-        case GateKind::kNor:
-          v = ~(in(0) | in(1));
-          break;
-        case GateKind::kXor:
-          v = in(0) ^ in(1);
-          break;
-        case GateKind::kXnor:
-          v = ~(in(0) ^ in(1));
-          break;
-        case GateKind::kMux:
-          v = (~in(0) & in(1)) | (in(0) & in(2));
-          break;
-        case GateKind::kInput:
-        case GateKind::kReg:
-          SCA_ASSERT(false, "gf gadget cone contains sequential signal");
-      }
-    }
+    for (std::size_t i = 0; i < 16; ++i)
+      slots[tape.slot_of[i]] = golden.operand[i * golden.blocks + k];
+    sim::run_tape<1>(tape, slots.data());
     for (std::size_t bit = 0; bit < 8; ++bit)
-      if (val[out_slot[bit]] != golden.result[bit * golden.blocks + k])
+      if (slots[tape.slot_of[out_entry[bit]]] !=
+          golden.result[bit * golden.blocks + k])
         throw common::Error(
             "gf gadget annotation on " + nl.signal_name(g.out[0]) +
             ": circuit disagrees with " +
@@ -320,8 +276,7 @@ void set_bit(std::uint64_t* words, std::size_t v) {
 TupleAnalyzer::TupleAnalyzer(const Netlist& original,
                              const verif::Unrolled& unrolled, unsigned threads)
     : original_(&original),
-      unrolled_(&unrolled),
-      debug_(std::getenv("SCA_LINT_DEBUG") != nullptr) {
+      unrolled_(&unrolled) {
   require(unrolled.cycles > 0, "TupleAnalyzer: empty unrolling");
   last_cycle_ = unrolled.cycles - 1;
   const Netlist& unl = unrolled.nl;
@@ -977,9 +932,6 @@ class TupleAnalyzer::Pass {
         }
       }
     }
-    if (a_.debug_)
-      std::fprintf(stderr, "family rule: %zu/%zu products @%zu (%s)\n",
-                   s_.in_cone.size(), S, cycle, full ? "full" : "subset");
     refresh();
     ++verdict_.cuts_applied;
     return true;
@@ -1011,26 +963,9 @@ class TupleAnalyzer::Pass {
     if (!uniform) s_.nonzero_groups.push_back(nb);
     for (std::size_t bit = 0; bit < 8; ++bit)
       if (s_.out_pos[bit] != kNone) force(s_.out_pos[bit], {&nb[bit], 1});
-    if (a_.debug_) {
-      if (g.kind == GfGadgetKind::kMul)
-        std::fprintf(
-            stderr, "mul rule: %s @%zu (%s operand)\n",
-            unl_.signal_name(a_.unrolled_->map[cycle][g.out[0]]).c_str(),
-            cycle, uniform ? "uniform" : "nonzero");
-      else
-        std::fprintf(stderr, "%s rule: @%zu (%s operand)\n",
-                     g.kind == GfGadgetKind::kInv ? "inv" : "square", cycle,
-                     uniform ? "uniform" : "nonzero");
-    }
     refresh();
     ++verdict_.cuts_applied;
     return true;
-  }
-
-  std::string var_name(std::size_t f) const {
-    return s_.vars[f].input == netlist::kNoSignal
-               ? std::string("virtual")
-               : unl_.signal_name(s_.vars[f].input);
   }
 
   // --- OTP elimination + byte rules to a joint fixpoint -----------------------
@@ -1046,10 +981,6 @@ class TupleAnalyzer::Pass {
           if (i == kNone) continue;
           // Valid cut: node i = f XOR (rest without f), and f reaches the
           // tuple only through node i. Replace it by a virtual fresh var.
-          if (a_.debug_)
-            std::fprintf(stderr, "cut: var %zu (%s) at node %s\n", f,
-                         var_name(f).c_str(),
-                         unl_.signal_name(s_.cone[i]).c_str());
           const std::size_t virt = add_var(true);
           force(i, {&virt, 1});
           refresh();
@@ -1136,9 +1067,6 @@ class TupleAnalyzer::Pass {
           }
         }
         if (!s_.row_done[pivot]) {
-          if (a_.debug_)
-            std::fprintf(stderr, "row-cut: var %zu (%s) at row %zu\n", f,
-                         var_name(f).c_str(), pivot);
           std::fill_n(row_lin(pivot), 2 * width_, 0);
           set_bit(row_lin(pivot), f);
           s_.row_done[pivot] = 1;

@@ -149,8 +149,6 @@ struct TupleVerdict {
 /// exhaustive simulation (on `threads` workers, 0 = common::resolve_threads)
 /// and throws common::Error when a declared byte structure does not compute
 /// the golden GF(2^8) function — a builder bug, never a lintable condition.
-/// Setting the SCA_LINT_DEBUG environment variable before construction
-/// traces every cut and rule firing to stderr.
 class TupleAnalyzer {
  public:
   /// `unrolled` must come from verif::unroll(original, cycles) with
@@ -199,7 +197,6 @@ class TupleAnalyzer {
   const netlist::Netlist* original_;
   const verif::Unrolled* unrolled_;
   std::size_t last_cycle_ = 0;
-  bool debug_ = false;
   /// Unrolled input signal id -> index into unrolled_->nl.inputs().
   std::vector<std::size_t> input_index_;  // SIZE_MAX where not an input
   /// Per unrolled input: a bit of an annotated nonzero bus.

@@ -285,6 +285,8 @@ class Netlist {
   std::size_t size() const { return gates_.size(); }
   const Gate& gate(SignalId id) const;
   GateKind kind(SignalId id) const { return gate(id).kind; }
+  /// Every gate, indexed by signal id.
+  const std::vector<Gate>& gates() const { return gates_; }
 
   const std::vector<InputInfo>& inputs() const { return inputs_; }
   const std::vector<OutputInfo>& outputs() const { return outputs_; }

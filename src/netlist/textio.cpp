@@ -9,7 +9,6 @@
 
 namespace sca::netlist {
 
-using common::require;
 
 std::string write_snl(const Netlist& nl) {
   std::ostringstream os;
@@ -93,14 +92,27 @@ std::string write_snl(const Netlist& nl) {
 
 namespace {
 
+// Throws the parse error "parse_snl line <line_no>: <what...>".
+template <typename... What>
+[[noreturn]] void fail(std::size_t line_no, const What&... what) {
+  throw common::Error(
+      common::make_name("parse_snl line ", line_no, ": ", what...));
+}
+
+// fail() unless `ok`: the message is only built when the check fails, so a
+// check on every parsed line costs one comparison.
+template <typename... What>
+void check(bool ok, std::size_t line_no, const What&... what) {
+  if (!ok) fail(line_no, what...);
+}
+
 GateKind kind_from_name(const std::string& s, std::size_t line_no) {
   for (GateKind k :
        {GateKind::kBuf, GateKind::kNot, GateKind::kAnd, GateKind::kNand,
         GateKind::kOr, GateKind::kNor, GateKind::kXor, GateKind::kXnor,
         GateKind::kMux})
     if (s == gate_kind_name(k)) return k;
-  throw common::Error("parse_snl line " + std::to_string(line_no) +
-                      ": unknown gate kind '" + s + "'");
+  fail(line_no, "unknown gate kind '", s, "'");
 }
 
 struct Statement {
@@ -130,12 +142,9 @@ Netlist parse_snl(const std::string& text) {
       if (st.tokens.empty()) continue;
       const std::string& verb = st.tokens[0];
       if (verb == "input" || verb == "const" || verb == "gate" || verb == "reg") {
-        require(st.tokens.size() >= 2, "parse_snl line " +
-                                           std::to_string(line_no) +
-                                           ": missing signal id");
-        require(!ids.contains(st.tokens[1]),
-                "parse_snl line " + std::to_string(line_no) + ": duplicate id '" +
-                    st.tokens[1] + "'");
+        check(st.tokens.size() >= 2, line_no, "missing signal id");
+        check(!ids.contains(st.tokens[1]), line_no, "duplicate id '",
+              st.tokens[1], "'");
         ids[st.tokens[1]] = next_id++;
       }
       statements.push_back(std::move(st));
@@ -144,16 +153,14 @@ Netlist parse_snl(const std::string& text) {
 
   auto resolve = [&ids](const std::string& name, std::size_t line_no) {
     auto it = ids.find(name);
-    require(it != ids.end(), "parse_snl line " + std::to_string(line_no) +
-                                 ": unknown signal '" + name + "'");
+    check(it != ids.end(), line_no, "unknown signal '", name, "'");
     return it->second;
   };
   auto to_u32 = [](const std::string& s, std::size_t line_no) {
     try {
       return static_cast<std::uint32_t>(std::stoul(s));
     } catch (const std::exception&) {
-      throw common::Error("parse_snl line " + std::to_string(line_no) +
-                          ": expected number, got '" + s + "'");
+      fail(line_no, "expected number, got '", s, "'");
     }
   };
 
@@ -165,68 +172,55 @@ Netlist parse_snl(const std::string& text) {
     const auto& t = st.tokens;
     const std::string& verb = t[0];
     if (verb == "input") {
-      require(t.size() >= 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": input needs a role");
+      check(t.size() >= 3, st.line_no, "input needs a role");
       if (t[2] == "control") {
         nl.add_input(InputRole::kControl, t[1]);
       } else if (t[2] == "random") {
         nl.add_input(InputRole::kRandom, t[1]);
       } else if (t[2] == "share") {
-        require(t.size() == 6, "parse_snl line " + std::to_string(st.line_no) +
-                                   ": share needs secret/share/bit");
+        check(t.size() == 6, st.line_no, "share needs secret/share/bit");
         nl.add_input(InputRole::kShare, t[1],
                      ShareLabel{to_u32(t[3], st.line_no), to_u32(t[4], st.line_no),
                                 to_u32(t[5], st.line_no)});
       } else {
-        throw common::Error("parse_snl line " + std::to_string(st.line_no) +
-                            ": unknown input role '" + t[2] + "'");
+        fail(st.line_no, "unknown input role '", t[2], "'");
       }
     } else if (verb == "const") {
-      require(t.size() == 3 && (t[2] == "0" || t[2] == "1"),
-              "parse_snl line " + std::to_string(st.line_no) +
-                  ": const needs 0 or 1");
+      check(t.size() == 3 && (t[2] == "0" || t[2] == "1"), st.line_no,
+            "const needs 0 or 1");
       nl.constant(t[2] == "1");
     } else if (verb == "gate") {
-      require(t.size() >= 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": gate needs a kind");
+      check(t.size() >= 3, st.line_no, "gate needs a kind");
       const GateKind k = kind_from_name(t[2], st.line_no);
       const std::size_t arity = gate_arity(k);
-      require(t.size() == 3 + arity, "parse_snl line " +
-                                         std::to_string(st.line_no) +
-                                         ": wrong operand count");
+      check(t.size() == 3 + arity, st.line_no, "wrong operand count");
       SignalId a = resolve(t[3], st.line_no);
       SignalId b = arity >= 2 ? resolve(t[4], st.line_no) : kNoSignal;
       SignalId c = arity >= 3 ? resolve(t[5], st.line_no) : kNoSignal;
       nl.add_gate(k, a, b, c);
     } else if (verb == "reg") {
-      require(t.size() == 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": reg needs one operand");
+      check(t.size() == 3, st.line_no, "reg needs one operand");
       const SignalId r = nl.make_reg_placeholder();
       pending_regs.emplace_back(r, st);
     } else if (verb == "output") {
-      require(t.size() == 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": output needs name and signal");
+      check(t.size() == 3, st.line_no, "output needs name and signal");
       nl.add_output(t[1], resolve(t[2], st.line_no));
     } else if (verb == "state") {
-      require(t.size() >= 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": state needs signal and role");
+      check(t.size() >= 3, st.line_no, "state needs signal and role");
       const SignalId reg = resolve(t[1], st.line_no);
       if (t[2] == "public") {
         nl.annotate_register(reg, StateRole::kPublic);
       } else if (t[2] == "share") {
-        require(t.size() == 6, "parse_snl line " + std::to_string(st.line_no) +
-                                   ": state share needs group/share/bit");
+        check(t.size() == 6, st.line_no, "state share needs group/share/bit");
         nl.annotate_register(
             reg, StateRole::kShare,
             ShareLabel{to_u32(t[3], st.line_no), to_u32(t[4], st.line_no),
                        to_u32(t[5], st.line_no)});
       } else {
-        throw common::Error("parse_snl line " + std::to_string(st.line_no) +
-                            ": unknown state role '" + t[2] + "'");
+        fail(st.line_no, "unknown state role '", t[2], "'");
       }
     } else if (verb == "stategroup" || verb == "secretgroup") {
-      require(t.size() >= 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": " + verb + " needs group and name");
+      check(t.size() >= 3, st.line_no, verb, " needs group and name");
       std::string full = t[2];
       for (std::size_t i = 3; i < t.size(); ++i) full += " " + t[i];
       if (verb == "stategroup")
@@ -234,27 +228,23 @@ Netlist parse_snl(const std::string& text) {
       else
         nl.set_secret_group_name(to_u32(t[1], st.line_no), full);
     } else if (verb == "nonzerobus") {
-      require(t.size() == 9, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": nonzerobus needs 8 signals");
+      check(t.size() == 9, st.line_no, "nonzerobus needs 8 signals");
       std::vector<SignalId> bus;
       for (std::size_t i = 1; i < t.size(); ++i)
         bus.push_back(resolve(t[i], st.line_no));
       nl.add_nonzero_bus(std::move(bus));
     } else if (verb == "nonzerosharing") {
-      require(t.size() >= 2, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": nonzerosharing needs a share count");
+      check(t.size() >= 2, st.line_no, "nonzerosharing needs a share count");
       const std::uint32_t shares = to_u32(t[1], st.line_no);
-      require(t.size() == 2 + std::size_t{shares} * 8,
-              "parse_snl line " + std::to_string(st.line_no) +
-                  ": nonzerosharing needs 8 signals per share");
+      check(t.size() == 2 + std::size_t{shares} * 8, st.line_no,
+            "nonzerosharing needs 8 signals per share");
       std::vector<std::vector<SignalId>> sharing(shares);
       for (std::uint32_t s = 0; s < shares; ++s)
         for (std::size_t b = 0; b < 8; ++b)
           sharing[s].push_back(resolve(t[2 + s * 8 + b], st.line_no));
       nl.add_nonzero_sharing(std::move(sharing));
     } else if (verb == "gfgadget") {
-      require(t.size() >= 2, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": gfgadget needs a kind");
+      check(t.size() >= 2, st.line_no, "gfgadget needs a kind");
       GfGadget g;
       if (t[1] == gf_gadget_kind_name(GfGadgetKind::kMul))
         g.kind = GfGadgetKind::kMul;
@@ -263,12 +253,10 @@ Netlist parse_snl(const std::string& text) {
       else if (t[1] == gf_gadget_kind_name(GfGadgetKind::kSquare))
         g.kind = GfGadgetKind::kSquare;
       else
-        throw common::Error("parse_snl line " + std::to_string(st.line_no) +
-                            ": unknown gfgadget kind '" + t[1] + "'");
+        fail(st.line_no, "unknown gfgadget kind '", t[1], "'");
       const std::size_t buses = g.kind == GfGadgetKind::kMul ? 3 : 2;
-      require(t.size() == 2 + buses * 8,
-              "parse_snl line " + std::to_string(st.line_no) +
-                  ": gfgadget needs " + std::to_string(buses) + " 8-bit buses");
+      check(t.size() == 2 + buses * 8, st.line_no, "gfgadget needs ", buses,
+            " 8-bit buses");
       for (std::size_t b = 0; b < 8; ++b)
         g.out.push_back(resolve(t[2 + b], st.line_no));
       for (std::size_t b = 0; b < 8; ++b)
@@ -278,14 +266,12 @@ Netlist parse_snl(const std::string& text) {
           g.b.push_back(resolve(t[18 + b], st.line_no));
       nl.add_gf_gadget(std::move(g));
     } else if (verb == "name") {
-      require(t.size() >= 3, "parse_snl line " + std::to_string(st.line_no) +
-                                 ": name needs signal and string");
+      check(t.size() >= 3, st.line_no, "name needs signal and string");
       std::string full = t[2];
       for (std::size_t i = 3; i < t.size(); ++i) full += " " + t[i];
       nl.name_signal(resolve(t[1], st.line_no), full);
     } else {
-      throw common::Error("parse_snl line " + std::to_string(st.line_no) +
-                          ": unknown statement '" + verb + "'");
+      fail(st.line_no, "unknown statement '", verb, "'");
     }
   }
   for (const auto& [reg_id, st] : pending_regs)

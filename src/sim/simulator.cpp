@@ -1,6 +1,5 @@
 #include "src/sim/simulator.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.hpp"
@@ -13,58 +12,30 @@ using netlist::Netlist;
 using netlist::SignalId;
 
 Schedule::Schedule(const Netlist& nl, ScheduleOptions options)
-    : nl_(&nl), lanes_(options.lanes), compiled_(options.compile) {
+    : nl_(&nl), lanes_(options.lanes) {
   nl.validate();
   common::require(common::valid_lane_width(lanes_),
                   "Schedule: lane width must be 64, 256, or 512");
-  common::require(compiled_ || lanes_ == 64,
-                  "Schedule: the interpreted oracle runs 64 lanes only");
-  regs_ = nl.registers();
-  for (SignalId id : nl.topological_order()) {
-    switch (nl.kind(id)) {
-      case GateKind::kInput:
-      case GateKind::kReg:
-      case GateKind::kConst0:
-      case GateKind::kConst1:
-        break;  // sources; constants are fixed at reset
-      default:
-        comb_order_.push_back(id);
-    }
-  }
-  if (compiled_) tape_ = compile_tape(nl, options.observed);
+  comb_gates_ = nl.combinational_count();
+  tape_ = compile_tape(nl, options.observed);
 }
 
 Simulator::Simulator(const Netlist& nl)
     : nl_(&nl),
       owned_schedule_(std::make_shared<const Schedule>(nl)),
       schedule_(owned_schedule_.get()) {
-  slots_.assign(schedule_->slot_count() * limbs(), 0);
-  reg_next_.assign(schedule_->registers().size() * limbs(), 0);
   reset();
 }
 
 Simulator::Simulator(const Schedule& schedule)
     : nl_(&schedule.netlist()), schedule_(&schedule) {
-  slots_.assign(schedule_->slot_count() * limbs(), 0);
-  reg_next_.assign(schedule_->registers().size() * limbs(), 0);
   reset();
 }
 
 void Simulator::reset() {
-  const unsigned nlimbs = limbs();
-  // std::fill, not memset: a netlist without registers leaves reg_next_
-  // empty, and memset on its null data() is undefined behaviour.
-  std::fill(slots_.begin(), slots_.end(), std::uint64_t{0});
-  std::fill(reg_next_.begin(), reg_next_.end(), std::uint64_t{0});
   // Constants hold their value permanently.
-  if (schedule_->compiled()) {
-    for (std::uint32_t s : schedule_->tape().const_one_slots)
-      for (unsigned b = 0; b < nlimbs; ++b)
-        slots_[s * nlimbs + b] = ~std::uint64_t{0};
-  } else {
-    for (SignalId id = 0; id < nl_->size(); ++id)
-      if (nl_->kind(id) == GateKind::kConst1) slots_[id] = ~std::uint64_t{0};
-  }
+  reset_slots(schedule_->tape(), limbs(), slots_);
+  reg_next_.assign(schedule_->tape().reg_latch.size() * limbs(), 0);
 }
 
 std::uint64_t* Simulator::input_slot(SignalId input) {
@@ -97,53 +68,7 @@ std::uint64_t* Simulator::input_limbs(SignalId input) {
   return input_slot(input);
 }
 
-void Simulator::settle_interpreted() {
-  std::uint64_t* const values = slots_.data();
-  for (SignalId id : schedule_->comb_order()) {
-    const netlist::Gate& g = nl_->gate(id);
-    const std::uint64_t a = values[g.fanin[0]];
-    switch (g.kind) {
-      case GateKind::kBuf:
-        values[id] = a;
-        break;
-      case GateKind::kNot:
-        values[id] = ~a;
-        break;
-      case GateKind::kAnd:
-        values[id] = a & values[g.fanin[1]];
-        break;
-      case GateKind::kNand:
-        values[id] = ~(a & values[g.fanin[1]]);
-        break;
-      case GateKind::kOr:
-        values[id] = a | values[g.fanin[1]];
-        break;
-      case GateKind::kNor:
-        values[id] = ~(a | values[g.fanin[1]]);
-        break;
-      case GateKind::kXor:
-        values[id] = a ^ values[g.fanin[1]];
-        break;
-      case GateKind::kXnor:
-        values[id] = ~(a ^ values[g.fanin[1]]);
-        break;
-      case GateKind::kMux: {
-        const std::uint64_t sel = a;
-        values[id] =
-            (~sel & values[g.fanin[1]]) | (sel & values[g.fanin[2]]);
-        break;
-      }
-      default:
-        SCA_ASSERT(false, "settle: unexpected gate kind in comb order");
-    }
-  }
-}
-
 void Simulator::settle() {
-  if (!schedule_->compiled()) {
-    settle_interpreted();
-    return;
-  }
   switch (limbs()) {
     case 1:
       run_tape<1>(schedule_->tape(), slots_.data());
@@ -161,21 +86,14 @@ void Simulator::settle() {
 
 void Simulator::clock() {
   const unsigned nlimbs = limbs();
-  if (schedule_->compiled()) {
-    const auto& latch = schedule_->tape().reg_latch;
-    for (std::size_t i = 0; i < latch.size(); ++i)
-      std::memcpy(reg_next_.data() + i * nlimbs,
-                  slots_.data() + static_cast<std::size_t>(latch[i].second) * nlimbs,
-                  nlimbs * sizeof(std::uint64_t));
-    for (std::size_t i = 0; i < latch.size(); ++i)
-      std::memcpy(slots_.data() + static_cast<std::size_t>(latch[i].first) * nlimbs,
-                  reg_next_.data() + i * nlimbs, nlimbs * sizeof(std::uint64_t));
-    return;
-  }
-  const auto& regs = schedule_->registers();
-  for (std::size_t i = 0; i < regs.size(); ++i)
-    reg_next_[i] = slots_[nl_->gate(regs[i]).fanin[0]];
-  for (std::size_t i = 0; i < regs.size(); ++i) slots_[regs[i]] = reg_next_[i];
+  const auto& latch = schedule_->tape().reg_latch;
+  for (std::size_t i = 0; i < latch.size(); ++i)
+    std::memcpy(reg_next_.data() + i * nlimbs,
+                slots_.data() + static_cast<std::size_t>(latch[i].second) * nlimbs,
+                nlimbs * sizeof(std::uint64_t));
+  for (std::size_t i = 0; i < latch.size(); ++i)
+    std::memcpy(slots_.data() + static_cast<std::size_t>(latch[i].first) * nlimbs,
+                reg_next_.data() + i * nlimbs, nlimbs * sizeof(std::uint64_t));
 }
 
 const std::uint64_t* Simulator::value_limbs(SignalId signal) const {

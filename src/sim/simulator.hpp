@@ -3,15 +3,8 @@
 // Each signal carries one word of W = 64, 256 or 512 simulation lanes (lane
 // L = bit L % 64 of limb L / 64), so one pass over the logic advances W
 // independent simulations at once — the PROLEAD trick, widened to SIMD
-// words. Two execution engines share identical semantics:
-//
-//   * **compiled** (default): Schedule construction levelizes the gates,
-//     eliminates dead logic outside the observed cone, and emits a flat op
-//     tape over a compact reusable slot file (sim/tape.hpp); settle() is a
-//     tight dispatch loop with no per-gate GateKind branching.
-//   * **interpreted**: the classic one-gate-at-a-time switch loop over the
-//     full signal array, 64 lanes only — kept as the bit-identical
-//     correctness oracle the kernel tests compare against.
+// words. Schedule construction compiles the netlist once to a flat op tape
+// (sim/tape.hpp); settle() runs that tape.
 //
 // Per-cycle protocol (matching the robust probing model's view of time):
 //   1. set_input(...) for every primary input          (cycle t values)
@@ -34,70 +27,56 @@ namespace sca::sim {
 struct ScheduleOptions {
   /// Simulation lanes per signal: 64, 256, or 512 (limbs 1, 4, 8).
   unsigned lanes = 64;
-  /// Compile to the straight-line tape (false = the interpreted 64-lane
-  /// oracle; requires lanes == 64).
-  bool compile = true;
   /// Signals whose settled values must stay readable through value() —
   /// everything outside their cone (and the register state cones) is
-  /// eliminated from the compiled tape. Empty = every signal is observable
+  /// eliminated from the tape. Empty = every signal is observable
   /// (no dead-gate elimination), the right default for interactive use.
   std::vector<netlist::SignalId> observed;
 };
 
-/// The netlist-derived evaluation plan (compiled tape or interpreted
-/// topological order, register list, lane width). Immutable after
-/// construction, so one Schedule can back any number of concurrently
-/// running Simulators — the parallel campaign builds it once and hands a
-/// const reference to every worker.
+/// The netlist-derived evaluation plan (compiled tape and lane width).
+/// Immutable after construction, so one Schedule can back any number of
+/// concurrently running Simulators — the parallel campaign builds it once
+/// and hands a const reference to every worker.
 class Schedule {
  public:
-  /// Fully observable 64-lane compiled schedule — drop-in for the classic
-  /// interpreted simulator. The netlist must be validated and outlive the
-  /// schedule.
+  /// Fully observable 64-lane schedule. The netlist must be validated and
+  /// outlive the schedule.
   explicit Schedule(const netlist::Netlist& nl) : Schedule(nl, {}) {}
   Schedule(const netlist::Netlist& nl, ScheduleOptions options);
 
   const netlist::Netlist& netlist() const { return *nl_; }
-  const std::vector<netlist::SignalId>& comb_order() const {
-    return comb_order_;
-  }
-  const std::vector<netlist::SignalId>& registers() const { return regs_; }
 
-  /// Combinational gate count of the netlist — the interpreted work of one
-  /// settle() pass (x lanes). The compiled tape may run fewer (live_gates).
-  std::size_t comb_gates() const { return comb_order_.size(); }
+  /// Combinational gate count of the netlist — the work of one settle()
+  /// pass without dead-gate elimination (x lanes). The tape may run fewer
+  /// (live_gates).
+  std::size_t comb_gates() const { return comb_gates_; }
 
   unsigned lanes() const { return lanes_; }
   unsigned limbs() const { return lanes_ / 64; }
-  bool compiled() const { return compiled_; }
   const Tape& tape() const { return tape_; }
 
   /// Value slot of a signal, or Tape::kNoSlot if dead-gate elimination
-  /// removed it (interpreted schedules map every signal).
+  /// removed it.
   std::uint32_t slot_of(netlist::SignalId id) const {
-    return compiled_ ? tape_.slot_of[id] : id;
-  }
-  std::size_t slot_count() const {
-    return compiled_ ? tape_.slot_count : nl_->size();
+    return tape_.slot_of[id];
   }
 
-  // Kernel statistics (zero when interpreted).
-  std::size_t live_gates() const { return compiled_ ? tape_.live_gates : 0; }
-  std::size_t levels() const { return compiled_ ? tape_.levels : 0; }
-  std::size_t tape_ops() const { return compiled_ ? tape_.ops.size() : 0; }
+  // Kernel statistics.
+  std::size_t live_gates() const { return tape_.live_gates; }
+  std::size_t levels() const { return tape_.levels; }
+  std::size_t tape_ops() const { return tape_.ops.size(); }
 
  private:
   const netlist::Netlist* nl_;
   unsigned lanes_ = 64;
-  bool compiled_ = true;
-  std::vector<netlist::SignalId> comb_order_;
-  std::vector<netlist::SignalId> regs_;
+  std::size_t comb_gates_ = 0;
   Tape tape_;
 };
 
 class Simulator {
  public:
-  /// Prepares evaluation structures (compiled, 64 lanes, fully observable).
+  /// Prepares evaluation structures (64 lanes, fully observable).
   /// The netlist must be validated and must outlive the simulator.
   explicit Simulator(const netlist::Netlist& nl);
 
@@ -125,7 +104,7 @@ class Simulator {
   /// wide campaign loop. limbs() words.
   std::uint64_t* input_limbs(netlist::SignalId input);
 
-  /// Evaluates all combinational gates (compiled tape or interpreted loop).
+  /// Evaluates all combinational gates (one run of the tape).
   void settle();
 
   /// Latches every register's D input; call after settle().
@@ -157,7 +136,6 @@ class Simulator {
 
  private:
   std::uint64_t* input_slot(netlist::SignalId input);
-  void settle_interpreted();
 
   const netlist::Netlist* nl_;
   std::shared_ptr<const Schedule> owned_schedule_;  // only for the nl ctor

@@ -1,6 +1,7 @@
 #include "src/sim/tape.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/check.hpp"
 #include "src/common/simd.hpp"
@@ -50,64 +51,57 @@ bool is_source(GateKind kind) {
 
 }  // namespace
 
-Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
-  const std::size_t n = nl.size();
-  const bool observe_all = observed.empty();
+Tape compile_tape(std::span<const netlist::Gate> gates,
+                  std::span<const std::uint32_t> keep) {
+  const std::size_t n = gates.size();
 
-  // Liveness: reverse closure from the observed signals plus every register
-  // D input. Gates outside the closure can never influence an observable
-  // value and are eliminated.
-  std::vector<char> live(n, observe_all ? 1 : 0);
-  std::vector<char> persistent(n, observe_all ? 1 : 0);
-  if (!observe_all) {
-    std::vector<SignalId> stack;
-    auto mark = [&](SignalId id) {
-      persistent[id] = 1;
-      if (!live[id]) {
-        live[id] = 1;
-        stack.push_back(id);
-      }
-    };
-    for (SignalId id : observed) {
-      common::require(id < n, "compile_tape: observed signal out of range");
-      mark(id);
+  // Liveness: reverse closure from the kept entries. Gates outside the
+  // closure can never influence a kept value and are eliminated. Sources
+  // always hold persistent slots: the caller drives them.
+  std::vector<char> live(n, 0);
+  std::vector<char> persistent(n, 0);
+  std::vector<std::uint32_t> stack;
+  auto mark = [&](std::uint32_t id) {
+    persistent[id] = 1;
+    if (!live[id]) {
+      live[id] = 1;
+      stack.push_back(id);
     }
-    for (SignalId id : nl.registers()) mark(nl.gate(id).fanin[0]);
-    while (!stack.empty()) {
-      const SignalId id = stack.back();
-      stack.pop_back();
-      const netlist::Gate& g = nl.gate(id);
-      if (is_source(g.kind)) continue;
-      for (std::size_t i = 0; i < netlist::gate_arity(g.kind); ++i) {
-        const SignalId f = g.fanin[i];
-        if (!live[f]) {
-          live[f] = 1;
-          stack.push_back(f);
-        }
-      }
-    }
-  } else {
-    for (SignalId id : nl.registers()) persistent[nl.gate(id).fanin[0]] = 1;
+  };
+  for (const std::uint32_t id : keep) {
+    common::require(id < n, "compile_tape: observed signal out of range");
+    mark(id);
   }
-  // Sources always hold persistent slots: set_input must accept any input,
-  // registers carry state, constants are filled at reset.
-  for (SignalId id = 0; id < n; ++id)
-    if (is_source(nl.kind(id))) {
+  while (!stack.empty()) {
+    const std::uint32_t id = stack.back();
+    stack.pop_back();
+    const netlist::Gate& g = gates[id];
+    if (is_source(g.kind)) continue;
+    for (std::size_t i = 0; i < netlist::gate_arity(g.kind); ++i) {
+      const SignalId f = g.fanin[i];
+      SCA_ASSERT(f < id, "compile_tape: fanin after its gate");
+      if (!live[f]) {
+        live[f] = 1;
+        stack.push_back(f);
+      }
+    }
+  }
+  for (std::size_t id = 0; id < n; ++id)
+    if (is_source(gates[id].kind)) {
       persistent[id] = 1;
       live[id] = 1;
     }
 
   // Expand live combinational gates into proto-ops with ASAP levels.
-  // Node ids beyond the signal space are MUX-lowering temporaries.
+  // Node ids beyond the gate space are MUX-lowering temporaries.
   std::vector<std::uint32_t> level(n, 0);
   std::vector<ProtoOp> protos;
   protos.reserve(n);
   std::uint32_t next_node = static_cast<std::uint32_t>(n);
-  std::vector<std::uint32_t> temp_levels;  // level of node n + i
   Tape tape;
-  for (SignalId id : nl.topological_order()) {
+  for (std::uint32_t id = 0; id < n; ++id) {
     if (!live[id]) continue;
-    const netlist::Gate& g = nl.gate(id);
+    const netlist::Gate& g = gates[id];
     switch (g.kind) {
       case GateKind::kInput:
       case GateKind::kReg:
@@ -132,10 +126,8 @@ Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
         const std::uint32_t t1 = next_node++;
         const std::uint32_t t2 = next_node++;
         const std::uint32_t l1 = std::max(level[a0], level[a1]) + 1;
-        temp_levels.push_back(l1);
         protos.push_back({TapeOpcode::kXor, t1, a0, a1, l1});
         const std::uint32_t l2 = std::max(l1, level[sel]) + 1;
-        temp_levels.push_back(l2);
         protos.push_back({TapeOpcode::kAnd, t2, sel, t1, l2});
         level[id] = std::max(l2, level[a0]) + 1;
         protos.push_back({TapeOpcode::kXor, id, a0, t2, level[id]});
@@ -155,7 +147,7 @@ Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
   // level are independent, so this reorder is free, and it is what turns
   // the dispatch switch into one branch per homogeneous run. The stable
   // sort keeps emission order inside equal (level, opcode) keys, making the
-  // tape a pure function of the netlist.
+  // tape a pure function of the gate list.
   std::stable_sort(protos.begin(), protos.end(),
                    [](const ProtoOp& x, const ProtoOp& y) {
                      if (x.level != y.level) return x.level < y.level;
@@ -173,11 +165,11 @@ Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
     last_use[protos[i].b] = i;
   }
 
-  // Slot assignment: persistent slots first (ascending signal id, so the
+  // Slot assignment: persistent slots first (ascending gate index, so the
   // layout is deterministic), then a free-slot stack for the temporaries.
   std::vector<std::uint32_t> slot(num_nodes, Tape::kNoSlot);
   std::uint32_t next_slot = 0;
-  for (SignalId id = 0; id < n; ++id)
+  for (std::size_t id = 0; id < n; ++id)
     if (live[id] && persistent[id]) slot[id] = next_slot++;
   std::vector<std::uint32_t> free_slots;
   auto release = [&](std::uint32_t node, std::uint32_t pos) {
@@ -195,9 +187,7 @@ Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
     if (p.b != p.a) release(p.b, i);
     std::uint32_t d = slot[p.dst];
     if (d == Tape::kNoSlot) {
-      if (p.dst < n && persistent[p.dst]) {
-        d = next_slot++;  // unreachable: persistent signals pre-assigned
-      } else if (!free_slots.empty()) {
+      if (!free_slots.empty()) {
         d = free_slots.back();
         free_slots.pop_back();
       } else {
@@ -214,16 +204,37 @@ Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
   tape.slot_count = next_slot;
 
   tape.slot_of.assign(n, Tape::kNoSlot);
-  for (SignalId id = 0; id < n; ++id)
-    if (live[id] && persistent[id]) tape.slot_of[id] = slot[id];
+  for (std::size_t id = 0; id < n; ++id)
+    if (live[id] && persistent[id]) {
+      tape.slot_of[id] = slot[id];
+      if (gates[id].kind == GateKind::kConst1)
+        tape.const_one_slots.push_back(slot[id]);
+    }
+  return tape;
+}
 
+Tape compile_tape(const Netlist& nl, const std::vector<SignalId>& observed) {
+  std::vector<std::uint32_t> keep;
+  if (observed.empty()) {
+    keep.resize(nl.size());
+    std::iota(keep.begin(), keep.end(), std::uint32_t{0});
+  } else {
+    keep = observed;
+    for (SignalId r : nl.registers()) keep.push_back(nl.gate(r).fanin[0]);
+  }
+  Tape tape = compile_tape(nl.gates(), keep);
   for (SignalId r : nl.registers())
     tape.reg_latch.emplace_back(tape.slot_of[r],
                                 tape.slot_of[nl.gate(r).fanin[0]]);
-  for (SignalId id = 0; id < n; ++id)
-    if (nl.kind(id) == GateKind::kConst1 && tape.slot_of[id] != Tape::kNoSlot)
-      tape.const_one_slots.push_back(tape.slot_of[id]);
   return tape;
+}
+
+void reset_slots(const Tape& tape, unsigned limbs,
+                 std::vector<std::uint64_t>& slots) {
+  slots.assign(static_cast<std::size_t>(tape.slot_count) * limbs, 0);
+  for (const std::uint32_t s : tape.const_one_slots)
+    std::fill_n(slots.begin() + static_cast<std::size_t>(s) * limbs, limbs,
+                ~std::uint64_t{0});
 }
 
 template <unsigned kLimbs>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -15,6 +16,7 @@
 #include "src/common/simd.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/netlist/cone.hpp"
+#include "src/sim/tape.hpp"
 #include "src/verif/exact_detail.hpp"
 #include "src/verif/unroll.hpp"
 
@@ -60,9 +62,9 @@ common::SimdWord<kLimbs> enumeration_word(std::size_t j, std::size_t block) {
 }
 
 // One block of an enumeration over the cone: the variables' words (index
-// bit bit_of[v] for variable v), the cone values driven and evaluated from
-// them, and the lanes outside the nonzero-bus constraint. All buffers are
-// sized to the analysis, none to the unrolled netlist.
+// bit bit_of[v] for variable v), and the cone's sim tape with its input
+// slots driven from them and its observation slots read back. All buffers
+// are sized to the analysis, none to the unrolled netlist.
 template <unsigned kLimbs>
 class ConeBlock {
  public:
@@ -73,27 +75,35 @@ class ConeBlock {
       : a_(a),
         bit_of_(std::move(bit_of)),
         var_words_(a.vars.size()),
-        // Inputs the analysis never drives (public controls) stay zero.
-        values_(a.cone.size(), Word::zero()) {}
+        tape_(sim::compile_tape(a.cone, a.observation_pos)) {
+    // Inputs the analysis never drives (public controls) stay zero.
+    sim::reset_slots(tape_, kLimbs, slots_);
+    for (const InputExpr& e : a.input_exprs)
+      input_slot_.push_back(e.pos == kNoPos ? kNoPos : tape_.slot_of[e.pos]);
+    for (const std::uint32_t pos : a.observation_pos)
+      observed_slot_.push_back(tape_.slot_of[pos]);
+  }
 
   std::size_t blocks() const {
     const std::size_t nv = a_.vars.size();
     return nv > kLaneBits ? std::size_t{1} << (nv - kLaneBits) : 1;
   }
 
-  /// Drives the inputs for `block` and evaluates the cone; returns the
-  /// lanes where some nonzero-constrained byte is all-zero. The skip set
-  /// only involves free variables, so every secret keeps the same total.
+  /// Drives the inputs for `block` and runs the cone; returns the lanes
+  /// where some nonzero-constrained byte is all-zero. The skip set only
+  /// involves free variables, so every secret keeps the same total.
   Word run(std::size_t block) {
     for (std::size_t v = 0; v < var_words_.size(); ++v)
       var_words_[v] = enumeration_word<kLimbs>(bit_of_[v], block);
-    for (const InputExpr& e : a_.input_exprs) {
-      if (e.pos == kNoPos) continue;
+    for (std::size_t i = 0; i < a_.input_exprs.size(); ++i) {
+      if (input_slot_[i] == kNoPos) continue;
       Word w = Word::zero();
-      for (const std::size_t v : e.var_indices) w ^= var_words_[v];
-      values_[e.pos] = w;
+      for (const std::size_t v : a_.input_exprs[i].var_indices)
+        w ^= var_words_[v];
+      w.store(slots_.data() +
+              static_cast<std::size_t>(input_slot_[i]) * kLimbs);
     }
-    eval();
+    sim::run_tape<kLimbs>(tape_, slots_.data());
     Word skip = Word::zero();
     for (const auto& group : a_.nonzero_groups) {
       Word all_zero = Word::ones();
@@ -104,62 +114,19 @@ class ConeBlock {
   }
 
   const Word& var(std::size_t v) const { return var_words_[v]; }
-  const Word& observed(std::size_t k) const {
-    return values_[a_.observation_pos[k]];
+  Word observed(std::size_t k) const {
+    return Word::load(slots_.data() +
+                      static_cast<std::size_t>(observed_slot_[k]) * kLimbs);
   }
 
  private:
-  void eval() {
-    Word* const v = values_.data();
-    for (std::size_t i = 0; i < a_.cone.size(); ++i) {
-      const ConeNode& g = a_.cone[i];
-      const auto& f = g.fanin;
-      switch (g.kind) {
-        case GateKind::kInput:
-          break;
-        case GateKind::kConst0:
-          v[i] = Word::zero();
-          break;
-        case GateKind::kConst1:
-          v[i] = Word::ones();
-          break;
-        case GateKind::kBuf:
-          v[i] = v[f[0]];
-          break;
-        case GateKind::kNot:
-          v[i] = ~v[f[0]];
-          break;
-        case GateKind::kAnd:
-          v[i] = v[f[0]] & v[f[1]];
-          break;
-        case GateKind::kNand:
-          v[i] = ~(v[f[0]] & v[f[1]]);
-          break;
-        case GateKind::kOr:
-          v[i] = v[f[0]] | v[f[1]];
-          break;
-        case GateKind::kNor:
-          v[i] = ~(v[f[0]] | v[f[1]]);
-          break;
-        case GateKind::kXor:
-          v[i] = v[f[0]] ^ v[f[1]];
-          break;
-        case GateKind::kXnor:
-          v[i] = ~(v[f[0]] ^ v[f[1]]);
-          break;
-        case GateKind::kMux:
-          v[i] = (~v[f[0]] & v[f[1]]) | (v[f[0]] & v[f[2]]);
-          break;
-        case GateKind::kReg:
-          SCA_ASSERT(false, "exact verifier: register in unrolled netlist");
-      }
-    }
-  }
-
   const Analysis& a_;
   std::vector<std::size_t> bit_of_;
   std::vector<Word> var_words_;
-  std::vector<Word> values_;
+  sim::Tape tape_;
+  std::vector<std::uint64_t> slots_;
+  std::vector<std::uint32_t> input_slot_;     ///< per input_exprs entry
+  std::vector<std::uint32_t> observed_slot_;  ///< per observation bit
 };
 
 // Exact joint histogram of an analysis at one batch width, flat and
@@ -392,6 +359,8 @@ class ExactEngine {
     a.cone.resize(s.cone.size());
     for (std::size_t i = 0; i < s.cone.size(); ++i) {
       const netlist::Gate& g = unl.gate(s.cone[i]);
+      SCA_ASSERT(g.kind != GateKind::kReg,
+                 "exact verifier: register in unrolled netlist");
       a.cone[i].kind = g.kind;
       for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
         a.cone[i].fanin[k] = s.pos[g.fanin[k]];
@@ -670,22 +639,6 @@ ExactReport verify_first_order_glitch(const Netlist& nl,
     }
   }
   return report;
-}
-
-std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>
-exact_probe_distribution(const Netlist& nl, SignalId probe,
-                         const ExactOptions& options) {
-  const ProbeDistributionEngine engine(nl, options);
-  const ProbeDistribution dist = engine.distribution(probe);
-  require(dist.feasible,
-          "exact_probe_distribution: probe exceeds enumeration limits");
-  std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> out;
-  for (std::size_t v = 0; v < dist.rows(); ++v) {
-    const std::span<const std::uint32_t> row = dist.row(v);
-    for (std::size_t o = 0; o < row.size(); ++o)
-      if (row[o]) out[v][o] = row[o];
-  }
-  return out;
 }
 
 struct ProbeDistributionEngine::Impl {

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -98,14 +97,6 @@ struct ExactReport {
 /// all its secrets are evaluated jointly.
 ExactReport verify_first_order_glitch(const netlist::Netlist& nl,
                                       const ExactOptions& options = {});
-
-/// Exact conditional distribution of one probe's observation: result[v] is
-/// the histogram (observation value -> count) given the reachable secret
-/// bits take value v. Use for root-cause analysis (e.g. the paper's
-/// x1 = x5 = 0 argument). Throws if the probe exceeds the limits.
-std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>
-exact_probe_distribution(const netlist::Netlist& nl, netlist::SignalId probe,
-                         const ExactOptions& options = {});
 
 /// The exact conditional distribution of one probe, with the metadata a
 /// counterexample certificate needs.

@@ -35,12 +35,6 @@ struct InputExpr {
   std::uint32_t pos = kNoPos;
 };
 
-/// One gate of the cone, its fanins given as cone positions.
-struct ConeNode {
-  netlist::GateKind kind = netlist::GateKind::kInput;
-  std::array<std::uint32_t, 3> fanin{kNoPos, kNoPos, kNoPos};
-};
-
 struct Analysis {
   /// Variables in analysis order: per complete sharing, its secret bit
   /// (first time seen) and all but the last share; then the remaining
@@ -55,8 +49,10 @@ struct Analysis {
   /// nonzero-bus instance the observation touches (GF(256)* enumeration).
   std::vector<std::array<std::size_t, 8>> nonzero_groups;
   /// The observation's combinational cone over the unrolled netlist,
-  /// ascending by unrolled id (fanins precede their gate).
-  std::vector<ConeNode> cone;
+  /// ascending by unrolled id, its fanins given as cone positions (so they
+  /// precede their gate) — the gate list the enumeration compiles to a
+  /// sim tape, with the cone's inputs as its driven sources.
+  std::vector<netlist::Gate> cone;
   std::vector<std::uint32_t> observation_pos;  ///< cone position per bit
   bool feasible = true;
 };

@@ -9,20 +9,19 @@
 #include <vector>
 
 #include "src/lint/linter.hpp"
-#include "src/netlist/ir.hpp"
 #include "src/verif/exact.hpp"
 
 namespace sca::testutil {
 
-// Replays one finding's certificate through a fresh exact engine and
-// collects every way it fails to be a real distinguisher: the two
-// secret values must induce different distributions and the chosen
-// observation must separate them with exactly the recorded counts. Returns
-// human-readable problems (empty = valid certificate); gtest-free so it can
-// run on worker threads.
+// Replays one finding's certificate through the caller's exact engine
+// (built on the linted netlist with the replay's options) and collects
+// every way it fails to be a real distinguisher: the two secret values
+// must induce different distributions and the chosen observation must
+// separate them with exactly the recorded counts. Returns human-readable
+// problems (empty = valid certificate); gtest-free so it can run on worker
+// threads.
 inline std::vector<std::string> certificate_problems(
-    const netlist::Netlist& nl, const lint::LintFinding& f,
-    const verif::ExactOptions& exact_options) {
+    const verif::ProbeDistributionEngine& engine, const lint::LintFinding& f) {
   std::vector<std::string> problems;
   const auto fail = [&](const std::string& what) {
     problems.push_back(f.message + " — " + what);
@@ -34,8 +33,7 @@ inline std::vector<std::string> certificate_problems(
   if (cert.count_a <= cert.count_b) fail("counts do not separate");
   if (cert.assignment.empty()) fail("no witness assignment");
 
-  const verif::ProbeDistribution dist =
-      verif::ProbeDistributionEngine(nl, exact_options).distribution(f.probe);
+  const verif::ProbeDistribution dist = engine.distribution(f.probe);
   if (!dist.feasible) return {f.message + " — " + dist.infeasible_reason};
   if (cert.secret_a >= dist.rows() || cert.secret_b >= dist.rows() ||
       cert.observation >= (std::uint64_t{1} << dist.observation.size()))

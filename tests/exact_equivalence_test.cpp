@@ -249,6 +249,58 @@ RandomCase random_masked_netlist(std::uint64_t seed) {
   return c;
 }
 
+// One engine per entry of kLaneWidths, all on `nl` with `options`.
+std::vector<std::unique_ptr<ProbeDistributionEngine>> engines_at_every_width(
+    const Netlist& nl, ExactOptions options) {
+  std::vector<std::unique_ptr<ProbeDistributionEngine>> engines;
+  for (const unsigned lanes : kLaneWidths) {
+    options.lanes = lanes;
+    engines.push_back(std::make_unique<ProbeDistributionEngine>(nl, options));
+  }
+  return engines;
+}
+
+// The distribution of `probe` (analysis `a`, feasible and with a secret)
+// at every width equals the per-lane reference's counts, and certificate
+// queries — the first, a middle and the last reachable (secret, obs), plus
+// one unreachable one where there is any — return the reference's first
+// hit.
+void expect_probe_matches_reference(
+    const Netlist& nl,
+    const std::vector<std::unique_ptr<ProbeDistributionEngine>>& engines,
+    SignalId probe, const detail::Analysis& a) {
+  const Netlist& unrolled = engines.front()->unrolled_netlist();
+  const testutil::ReferenceEnumeration ref =
+      testutil::reference_enumerate(unrolled, a);
+  std::vector<std::size_t> queries;
+  std::size_t unreachable = ref.counts.size();
+  for (std::size_t i = 0; i < ref.counts.size(); ++i) {
+    if (ref.counts[i] != 0) queries.push_back(i);
+    else if (unreachable == ref.counts.size()) unreachable = i;
+  }
+  ASSERT_FALSE(queries.empty());
+  queries = {queries.front(), queries[queries.size() / 2], queries.back()};
+  if (unreachable != ref.counts.size()) queries.push_back(unreachable);
+
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    SCOPED_TRACE(common::make_name(nl.signal_name(probe), " at ",
+                                   kLaneWidths[e], " lanes"));
+    ASSERT_EQ(engines[e]->distribution(probe).counts, ref.counts);
+    for (const std::size_t q : queries) {
+      const std::uint64_t secret = q >> a.observation.size();
+      const std::uint64_t obs =
+          q & ((std::uint64_t{1} << a.observation.size()) - 1);
+      const auto got = engines[e]->preimage(probe, secret, obs);
+      if (ref.counts[q] == 0) {
+        EXPECT_TRUE(got.empty());
+      } else {
+        EXPECT_EQ(got, testutil::reference_assignment(unrolled, a,
+                                                      ref.first_hit[q]));
+      }
+    }
+  }
+}
+
 TEST(ExactReference, WordCountsAndFirstHitsMatchPerLaneReference) {
   // Coverage: enumerations inside one 512-lane block; multi-block ones
   // with the secret partly in the word, and with the secret on block bits
@@ -266,13 +318,7 @@ TEST(ExactReference, WordCountsAndFirstHitsMatchPerLaneReference) {
       options.held_inputs = c.held;
       options.max_vars = 16;
       options.max_observation_bits = 12;
-      std::vector<std::unique_ptr<ProbeDistributionEngine>> engines;
-      for (const unsigned lanes : kLaneWidths) {
-        options.lanes = lanes;
-        engines.push_back(
-            std::make_unique<ProbeDistributionEngine>(c.nl, options));
-      }
-      const Netlist& unrolled = engines.front()->unrolled_netlist();
+      const auto engines = engines_at_every_width(c.nl, options);
       for (SignalId probe = 0; probe < c.nl.size(); ++probe) {
         const GateKind k = c.nl.kind(probe);
         if (k == GateKind::kConst0 || k == GateKind::kConst1) continue;
@@ -294,38 +340,8 @@ TEST(ExactReference, WordCountsAndFirstHitsMatchPerLaneReference) {
         nonzero += a.nonzero_groups.empty() ? 0 : 1;
         held += c.held.empty() ? 0 : 1;
 
-        const testutil::ReferenceEnumeration ref =
-            testutil::reference_enumerate(unrolled, a);
-        // Certificate queries: the first, a middle and the last reachable
-        // (secret, obs), plus one unreachable one where there is any.
-        std::vector<std::size_t> queries;
-        std::size_t unreachable = ref.counts.size();
-        for (std::size_t i = 0; i < ref.counts.size(); ++i) {
-          if (ref.counts[i] != 0) queries.push_back(i);
-          else if (unreachable == ref.counts.size()) unreachable = i;
-        }
-        ASSERT_FALSE(queries.empty());
-        queries = {queries.front(), queries[queries.size() / 2],
-                   queries.back()};
-        if (unreachable != ref.counts.size()) queries.push_back(unreachable);
-
-        for (std::size_t e = 0; e < engines.size(); ++e) {
-          SCOPED_TRACE(common::make_name(c.nl.signal_name(probe), " at ",
-                                         kLaneWidths[e], " lanes"));
-          ASSERT_EQ(engines[e]->distribution(probe).counts, ref.counts);
-          for (const std::size_t q : queries) {
-            const std::uint64_t secret = q >> a.observation.size();
-            const std::uint64_t obs =
-                q & ((std::uint64_t{1} << a.observation.size()) - 1);
-            const auto got = engines[e]->preimage(probe, secret, obs);
-            if (ref.counts[q] == 0) {
-              EXPECT_TRUE(got.empty());
-            } else {
-              EXPECT_EQ(got, testutil::reference_assignment(
-                                 unrolled, a, ref.first_hit[q]));
-            }
-          }
-        }
+        expect_probe_matches_reference(c.nl, engines, probe, a);
+        if (HasFatalFailure()) return;
       }
     }
   }
@@ -336,6 +352,47 @@ TEST(ExactReference, WordCountsAndFirstHitsMatchPerLaneReference) {
   EXPECT_GT(wide, 0u);
   EXPECT_GT(nonzero, 0u);
   EXPECT_GT(held, 0u);
+}
+
+TEST(ExactReference, ConstantFedConesMatchPerLaneReference) {
+  // Registered gates that read both constants: the observations behind the
+  // registers are cones with constant sources, so the enumeration depends
+  // on the constants holding their values (a constant-1 select picks the
+  // mask r0, not the share s0_1).
+  Netlist nl;
+  const SignalId s00 = nl.add_input(InputRole::kShare, "s0_0", {0, 0, 0});
+  const SignalId s01 = nl.add_input(InputRole::kShare, "s0_1", {0, 1, 0});
+  const SignalId s10 = nl.add_input(InputRole::kShare, "s1_0", {0, 0, 1});
+  const SignalId s11 = nl.add_input(InputRole::kShare, "s1_1", {0, 1, 1});
+  const SignalId r0 = nl.add_input(InputRole::kRandom, "r0");
+  const SignalId r1 = nl.add_input(InputRole::kRandom, "r1");
+  const SignalId c0 = nl.constant(false);
+  const SignalId c1 = nl.constant(true);
+  const SignalId q1 = nl.reg(nl.xor_(s00, c1));
+  const SignalId q2 = nl.reg(nl.mux(c1, s01, r0));
+  const SignalId q3 = nl.reg(nl.or_(nl.and_(s10, r1), c0));
+  const SignalId q4 = nl.reg(nl.nand_(s11, c1));
+  const SignalId q5 = nl.reg(nl.xnor_(nl.mux(c0, r0, s01), c0));
+  const SignalId h1 = nl.xor_(q1, q2);
+  nl.reg(nl.xor_(h1, nl.and_(q3, q4)));
+  nl.xor_(h1, q5);
+  std::size_t enumerated = 0;
+  for (const bool transitions : {false, true}) {
+    SCOPED_TRACE(common::make_name("transitions ", transitions ? 1 : 0));
+    ExactOptions options;
+    options.transitions = transitions;
+    const auto engines = engines_at_every_width(nl, options);
+    for (SignalId probe = 0; probe < nl.size(); ++probe) {
+      const GateKind k = nl.kind(probe);
+      if (k == GateKind::kConst0 || k == GateKind::kConst1) continue;
+      const detail::Analysis a = engines.front()->analysis(probe);
+      if (!a.feasible || a.secret_var_indices.empty()) continue;
+      ++enumerated;
+      expect_probe_matches_reference(nl, engines, probe, a);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(enumerated, 4u);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Wide compiled-kernel property tests.
 //
-// The contract under test: the compiled straight-line kernel at every lane
-// width (64/256/512, with dead-gate elimination on or off) is bit-identical
-// to the interpreted 64-lane oracle on every gadget the paper evaluates —
-// per limb, per cycle, per signal — and the campaign engine built on it
-// matches the interpreted 64-lane reference campaign
-// (tests/reference_campaign.hpp) bit for bit at every (lane width, thread
-// count) combination, including across a forced checkpoint/resume that
-// switches the width.
+// The contract under test: the sim tape at every lane width (64/256/512,
+// with dead-gate elimination on or off) is bit-identical to the interpreted
+// 64-lane oracle (tests/reference_simulator.hpp) on every gadget the paper
+// evaluates — per limb, per cycle, per signal — including a gate list cut
+// out of a netlist the way the exact verifier and the gadget check build
+// theirs; and the campaign engine built on it matches the reference
+// campaign (tests/reference_campaign.hpp) bit for bit at every (lane width,
+// thread count) combination, including across a forced checkpoint/resume
+// that switches the width.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/names.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/simd.hpp"
 #include "src/core/campaign.hpp"
@@ -26,7 +28,9 @@
 #include "src/netlist/ir.hpp"
 #include "src/netlist/slice.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/sim/tape.hpp"
 #include "tests/reference_campaign.hpp"
+#include "tests/reference_simulator.hpp"
 #include "tests/test_util.hpp"
 
 namespace sca {
@@ -45,17 +49,16 @@ Netlist sbox_netlist() {
   return nl;
 }
 
-// Runs `cycles` cycles of the wide compiled kernel against limbs-many
-// interpreted 64-lane oracle simulators fed the identical per-limb input
-// words, and requires every readable signal to match in every limb at every
-// cycle. With `observed` non-empty the compiled schedule dead-gate
-// eliminates against that cone and only those signals are compared.
+// Runs `cycles` cycles of the wide kernel against limbs-many interpreted
+// 64-lane oracle simulators fed the identical per-limb input words, and
+// requires every readable signal to match in every limb at every cycle.
+// With `observed` non-empty the schedule dead-gate eliminates against that
+// cone and only those signals are compared.
 void expect_wide_matches_oracle(const Netlist& nl, unsigned lanes,
                                 std::size_t cycles,
                                 std::vector<SignalId> observed) {
   sim::ScheduleOptions wide_opts;
   wide_opts.lanes = lanes;
-  wide_opts.compile = true;
   wide_opts.observed = observed;
   const sim::Schedule wide_schedule(nl, wide_opts);
   EXPECT_GT(wide_schedule.tape_ops(), 0u);
@@ -63,13 +66,9 @@ void expect_wide_matches_oracle(const Netlist& nl, unsigned lanes,
   EXPECT_LE(wide_schedule.live_gates(), wide_schedule.comb_gates());
   sim::Simulator wide(wide_schedule);
 
-  sim::ScheduleOptions oracle_opts;
-  oracle_opts.lanes = 64;
-  oracle_opts.compile = false;
-  const sim::Schedule oracle_schedule(nl, oracle_opts);
   const unsigned limbs = lanes / 64;
-  std::vector<sim::Simulator> oracles;
-  for (unsigned b = 0; b < limbs; ++b) oracles.emplace_back(oracle_schedule);
+  std::vector<testutil::ReferenceSimulator> oracles(
+      limbs, testutil::ReferenceSimulator(nl));
 
   // The comparison set: the observed cone, or every signal when fully
   // observable.
@@ -147,6 +146,157 @@ TEST(Kernel, MaskedAesSliceMatchesOracleAtAllWidths) {
   const netlist::Slice slice = netlist::extract_slice(nl);
   ASSERT_FALSE(slice.cuts.empty());
   expect_all_widths_match(slice.nl, 20);
+}
+
+// --- a cut-out gate list on the tape ------------------------------------------
+
+// A gate list cut out of a netlist the way the exact verifier and the
+// gadget check build theirs: the fan-in of `roots` (plus a `dead` branch
+// that is walked but not kept), ascending by signal id, stopping at
+// `leaves` — internal gates of the netlist that become driven sources, like
+// gadget operands. Inputs and constants stay sources of their own kind.
+struct CutList {
+  std::vector<netlist::Gate> gates;
+  std::vector<SignalId> signal;     // entry -> netlist signal
+  std::vector<std::uint32_t> keep;  // entries of the roots
+  std::uint32_t dead = 0;           // entry of the dead branch's head
+};
+
+CutList cut_gate_list(const Netlist& nl, const std::vector<SignalId>& leaves,
+                      const std::vector<SignalId>& roots, SignalId dead) {
+  std::vector<char> is_leaf(nl.size(), 0), walked(nl.size(), 0);
+  for (const SignalId s : leaves) is_leaf[s] = 1;
+  std::vector<SignalId> stack = roots;
+  stack.push_back(dead);
+  while (!stack.empty()) {
+    const SignalId id = stack.back();
+    stack.pop_back();
+    if (walked[id]) continue;
+    walked[id] = 1;
+    if (is_leaf[id]) continue;
+    const netlist::Gate& g = nl.gate(id);
+    for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
+      stack.push_back(g.fanin[k]);
+  }
+  CutList c;
+  std::vector<std::uint32_t> entry(nl.size(), 0);
+  for (SignalId id = 0; id < nl.size(); ++id) {
+    if (!walked[id]) continue;
+    netlist::Gate g{netlist::GateKind::kInput, {}};
+    if (!is_leaf[id]) {
+      g.kind = nl.kind(id);
+      for (std::size_t k = 0; k < netlist::gate_arity(g.kind); ++k)
+        g.fanin[k] = entry[nl.gate(id).fanin[k]];
+    }
+    entry[id] = static_cast<std::uint32_t>(c.gates.size());
+    c.gates.push_back(g);
+    c.signal.push_back(id);
+  }
+  for (const SignalId r : roots) c.keep.push_back(entry[r]);
+  c.dead = entry[dead];
+  return c;
+}
+
+// Compiles `c` once and runs it at kLimbs against kLimbs oracles of the
+// whole netlist: every driven source (leaf or input) takes its oracle
+// value, and every entry the tape keeps readable must match per limb.
+// Returns the number of entries compared.
+template <unsigned kLimbs>
+std::size_t expect_cut_list_matches_oracle(const Netlist& nl,
+                                           const CutList& c) {
+  const sim::Tape tape = sim::compile_tape(c.gates, c.keep);
+  std::vector<std::uint64_t> slots;
+  sim::reset_slots(tape, kLimbs, slots);
+  std::vector<testutil::ReferenceSimulator> oracles(
+      kLimbs, testutil::ReferenceSimulator(nl));
+  common::Xoshiro256 rng(0xC0DE);
+  std::size_t compared = 0;
+  for (std::size_t round = 0; round < 16; ++round) {
+    for (const auto& in : nl.inputs())
+      for (unsigned b = 0; b < kLimbs; ++b)
+        oracles[b].set_input(in.signal, rng.next());
+    for (unsigned b = 0; b < kLimbs; ++b) oracles[b].settle();
+    for (std::size_t e = 0; e < c.gates.size(); ++e)
+      if (c.gates[e].kind == netlist::GateKind::kInput)
+        for (unsigned b = 0; b < kLimbs; ++b)
+          slots[tape.slot_of[e] * kLimbs + b] = oracles[b].value(c.signal[e]);
+    sim::run_tape<kLimbs>(tape, slots.data());
+    compared = 0;
+    for (std::size_t e = 0; e < c.gates.size(); ++e) {
+      if (tape.slot_of[e] == sim::Tape::kNoSlot) continue;
+      ++compared;
+      for (unsigned b = 0; b < kLimbs; ++b)
+        EXPECT_EQ(slots[tape.slot_of[e] * kLimbs + b],
+                  oracles[b].value(c.signal[e]))
+            << kLimbs * 64 << " lanes, round " << round << ", limb " << b
+            << ", signal " << nl.signal_name(c.signal[e]);
+    }
+  }
+  return compared;
+}
+
+TEST(Kernel, CutGateListMatchesOracleAtAllWidths) {
+  // A front of random gates over the inputs, four of its internal gates as
+  // the cut's leaves, and a back over leaves, inputs and both constants
+  // with a MUX, a constant-fed XOR and NAND, and a two-gate dead branch.
+  Netlist nl;
+  common::Xoshiro256 rng(17);
+  constexpr netlist::GateKind kKinds[] = {
+      netlist::GateKind::kAnd, netlist::GateKind::kNand,
+      netlist::GateKind::kOr,  netlist::GateKind::kNor,
+      netlist::GateKind::kXor, netlist::GateKind::kXnor,
+      netlist::GateKind::kNot, netlist::GateKind::kBuf,
+      netlist::GateKind::kMux};
+  const auto grow = [&](std::vector<SignalId>& pool, std::size_t gates) {
+    for (std::size_t i = 0; i < gates; ++i) {
+      const netlist::GateKind kind = kKinds[rng.below(std::size(kKinds))];
+      const auto pick = [&] { return pool[rng.below(pool.size())]; };
+      const std::size_t arity = netlist::gate_arity(kind);
+      const SignalId a = pick();
+      const SignalId b = arity > 1 ? pick() : netlist::kNoSignal;
+      const SignalId m = arity > 2 ? pick() : netlist::kNoSignal;
+      pool.push_back(nl.add_gate(kind, a, b, m));
+    }
+  };
+  std::vector<SignalId> front;
+  for (std::size_t i = 0; i < 6; ++i)
+    front.push_back(nl.add_input(netlist::InputRole::kRandom,
+                                 common::make_name("x", i)));
+  const SignalId c0 = nl.constant(false);
+  const SignalId c1 = nl.constant(true);
+  grow(front, 24);
+  const std::vector<SignalId> leaves = {front[9], front[14], front[20],
+                                        front[27]};
+  std::vector<SignalId> back = leaves;
+  back.insert(back.end(), {front[0], front[3], c0, c1});
+  grow(back, 30);
+  const SignalId mux = nl.mux(leaves[0], back.back(), back[back.size() - 5]);
+  const SignalId with_one = nl.xor_(mux, c1);
+  const SignalId with_zero = nl.nand_(with_one, c0);
+  const SignalId dead =
+      nl.not_(nl.and_(back[back.size() - 3], leaves[1]));
+  const std::vector<SignalId> roots = {mux, with_one, with_zero, back[12],
+                                       back[20], back.back()};
+  nl.validate();
+
+  const CutList c = cut_gate_list(nl, leaves, roots, dead);
+  const sim::Tape tape = sim::compile_tape(c.gates, c.keep);
+  EXPECT_EQ(tape.slot_of[c.dead], sim::Tape::kNoSlot);  // eliminated
+  std::size_t comb = 0, mux_gates = 0;
+  for (const netlist::Gate& g : c.gates) {
+    comb += netlist::gate_arity(g.kind) > 0 ? 1 : 0;
+    mux_gates += g.kind == netlist::GateKind::kMux ? 1 : 0;
+  }
+  EXPECT_LE(tape.live_gates + 2, comb);
+  EXPECT_GT(mux_gates, 0u);
+  EXPECT_EQ(tape.const_one_slots.size(), 1u);
+  for (const SignalId leaf : leaves)
+    EXPECT_NE(netlist::gate_arity(nl.kind(leaf)), 0u);  // internal gates
+
+  const std::size_t compared = expect_cut_list_matches_oracle<1>(nl, c);
+  EXPECT_GT(compared, c.keep.size());
+  EXPECT_EQ(expect_cut_list_matches_oracle<4>(nl, c), compared);
+  EXPECT_EQ(expect_cut_list_matches_oracle<8>(nl, c), compared);
 }
 
 // --- campaign-level bit-identity --------------------------------------------

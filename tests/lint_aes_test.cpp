@@ -4,7 +4,8 @@
 // all 4 key-schedule instances, attributed to the state/key byte the
 // instance reads — and the repaired Eq. (9) plan must lint glitch-clean
 // across all 20. Every finding carries an exact counterexample certificate,
-// replayed here through verif::exact_probe_distribution.
+// replayed here through one verif::ProbeDistributionEngine
+// (tests/cert_replay.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "src/netlist/ir.hpp"
 #include "src/netlist/slice.hpp"
 #include "src/verif/exact.hpp"
+#include "tests/cert_replay.hpp"
 
 namespace sca {
 namespace {
@@ -117,17 +119,16 @@ TEST(LintAes, Eq6FlagsFreshReuseInsideEveryInstanceG7WithCertificates) {
   }();
 
   // Every finding carries a *validated* counterexample certificate: replay
-  // the witness through the exact engine on the same slice and check the
+  // the witness through one exact engine on the same slice and check the
   // two secret values really induce different observation distributions.
-  // Each replay unrolls the whole slice, so the replays run in parallel.
+  // The engine unrolls the slice once; the replays run in parallel on it.
   netlist::Slice slice = netlist::extract_slice(nl);
   verif::ExactOptions exact_options;
   exact_options.held_inputs = slice.held_inputs;
-  std::vector<std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>>
-      replays(report.findings.size());
+  const verif::ProbeDistributionEngine engine(slice.nl, exact_options);
+  std::vector<std::vector<std::string>> problems(report.findings.size());
   common::parallel_for(report.findings.size(), 0, [&](std::size_t i) {
-    replays[i] = verif::exact_probe_distribution(
-        slice.nl, report.findings[i].probe, exact_options);
+    problems[i] = testutil::certificate_problems(engine, report.findings[i]);
   });
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const LintFinding& f = report.findings[i];
@@ -135,21 +136,9 @@ TEST(LintAes, Eq6FlagsFreshReuseInsideEveryInstanceG7WithCertificates) {
     const lint::LintCertificate& cert = *f.certificate;
     ASSERT_TRUE(cert.available)
         << f.message << " — " << cert.unavailable_reason;
-    EXPECT_GT(cert.tv_distance, 0.0);
-    EXPECT_GT(cert.count_a, cert.count_b);
     EXPECT_NE(cert.secret_a, cert.secret_b);
     EXPECT_FALSE(cert.secret_bits.empty());
-    EXPECT_FALSE(cert.assignment.empty());
-
-    const auto& distributions = replays[i];
-    const auto& dist_a = distributions.at(cert.secret_a);
-    const auto& dist_b = distributions.at(cert.secret_b);
-    EXPECT_NE(dist_a, dist_b) << f.message;
-    const auto it_a = dist_a.find(cert.observation);
-    ASSERT_NE(it_a, dist_a.end()) << f.message;
-    EXPECT_EQ(it_a->second, cert.count_a);
-    const auto it_b = dist_b.find(cert.observation);
-    EXPECT_EQ(it_b == dist_b.end() ? 0u : it_b->second, cert.count_b);
+    for (const std::string& problem : problems[i]) ADD_FAILURE() << problem;
   }
 
   // Certificate serialization: the JSON report inlines the witness.

@@ -53,10 +53,10 @@ TEST(LintConstrainedSbox, Eq6WholeSboxCertificatesReplay) {
   lint_options.certify = true;
   const LintReport report = lint::run_lint(nl, lint_options);
   ASSERT_EQ(report.findings.size(), 6u) << to_string(report);
+  const verif::ProbeDistributionEngine engine(nl);
   for (const lint::LintFinding& f : report.findings) {
     EXPECT_EQ(f.rule, LintRule::kR1FreshReuse) << f.message;
-    for (const std::string& problem :
-         certificate_problems(nl, f, verif::ExactOptions{}))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
   }
 }
@@ -83,10 +83,10 @@ TEST(LintConstrainedSbox, NoKroneckerR5CertificatesReplayConstrained) {
   const LintReport report = lint::run_lint(nl, lint_options);
   ASSERT_FALSE(report.clean());
   std::size_t replayed = 0;
+  const verif::ProbeDistributionEngine engine(nl, replay_options);
   for (const lint::LintFinding& f : report.findings) {
     EXPECT_EQ(f.rule, LintRule::kR5MultiplicativeBlinding) << f.message;
-    for (const std::string& problem :
-         certificate_problems(nl, f, replay_options))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
     ++replayed;
   }
@@ -138,10 +138,10 @@ TEST(LintConstrainedSbox, BiasedPadHazardExistsOnlyUnderTheConstraint) {
   lint_options.certify = true;
   const LintReport report = lint::run_lint(nl, lint_options);
   ASSERT_FALSE(report.clean());
+  const verif::ProbeDistributionEngine engine(nl);
   for (const lint::LintFinding& f : report.findings) {
     EXPECT_EQ(f.rule, LintRule::kR5MultiplicativeBlinding) << f.message;
-    for (const std::string& problem :
-         certificate_problems(nl, f, verif::ExactOptions{}))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
   }
   verif::ExactOptions unconstrained;

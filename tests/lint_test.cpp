@@ -170,10 +170,11 @@ TEST(Lint, AgreesWithExactVerifierAndPrefilterKeepsSecureSet) {
         options.threads = 1;  // already parallel over plans
         const LintReport report = lint::run_lint(nl, options);
         lint_clean[i] = report.clean();
+        if (report.findings.empty()) return;
+        const verif::ProbeDistributionEngine engine(nl);
         for (const lint::LintFinding& f : report.findings) {
           ++certificates[i];
-          for (std::string& p :
-               certificate_problems(nl, f, verif::ExactOptions{}))
+          for (std::string& p : certificate_problems(engine, f))
             problems[i].push_back(std::move(p));
         }
       });
@@ -265,10 +266,10 @@ TEST(Lint, TransitionFindingsGetTransitionModelCertificates) {
   verif::ExactOptions exact_options;
   exact_options.transitions = true;
   std::size_t r4 = 0;
+  const verif::ProbeDistributionEngine engine(nl, exact_options);
   for (const lint::LintFinding& f : report.findings) {
     if (f.rule == LintRule::kR4TransitionHazard) ++r4;
-    for (const std::string& problem :
-         certificate_problems(nl, f, exact_options))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
   }
   EXPECT_GT(r4, 0u) << to_string(report);
@@ -305,6 +306,7 @@ TEST(LintConstrained, BiasedXorPadFlaggedR5WithReplayingCertificates) {
   options.certify = true;
   const LintReport report = lint::run_lint(nl, options);
   ASSERT_FALSE(report.clean());
+  const verif::ProbeDistributionEngine engine(nl);
   for (const lint::LintFinding& f : report.findings) {
     EXPECT_EQ(f.rule, LintRule::kR5MultiplicativeBlinding) << f.message;
     // The hazard witness is the annotated mask bit, present even though
@@ -312,8 +314,7 @@ TEST(LintConstrained, BiasedXorPadFlaggedR5WithReplayingCertificates) {
     ASSERT_FALSE(f.shared_fresh.empty());
     EXPECT_NE(f.shared_fresh.front().find("r_0"), std::string::npos);
     // The certificate replays under the *constrained* distribution.
-    for (const std::string& problem :
-         certificate_problems(nl, f, verif::ExactOptions{}))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
   }
   // Agreement both ways: the exact verifier leaks under GF(256)* draws and
@@ -362,11 +363,11 @@ TEST(LintConstrained, B2MWithZeroCapableOperandFlagsTheExposedProducts) {
   options.certify = true;
   const LintReport report = lint::run_lint(nl, options);
   ASSERT_FALSE(report.clean());
+  const verif::ProbeDistributionEngine engine(nl);
   for (const lint::LintFinding& f : report.findings) {
     EXPECT_EQ(f.rule, LintRule::kR5MultiplicativeBlinding) << f.message;
     EXPECT_NE(f.probe_name.find("b2m.p1"), std::string::npos) << f.message;
-    for (const std::string& problem :
-         certificate_problems(nl, f, verif::ExactOptions{}))
+    for (const std::string& problem : certificate_problems(engine, f))
       ADD_FAILURE() << problem;
   }
   EXPECT_TRUE(verif::verify_first_order_glitch(nl).any_leak);

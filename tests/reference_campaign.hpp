@@ -1,6 +1,7 @@
 // Scalar reference campaign for the equivalence tests: the production
 // probe-set preparation, input feed and sample producer
-// (src/core/campaign_parts.hpp) on one interpreted 64-lane simulator, with
+// (src/core/campaign_parts.hpp) on one interpreted 64-lane simulator
+// (tests/reference_simulator.hpp, never the sim tape), with
 // every set's key computed per lane in scalar code — exact observation
 // bits, the (hn << w) | hp weight pair of a compacted set, or the Hamming
 // weight for the t-test. No chunk grid, batches, hosting, stages or
@@ -21,9 +22,9 @@
 #include "src/core/campaign.hpp"
 #include "src/core/campaign_parts.hpp"
 #include "src/netlist/ir.hpp"
-#include "src/sim/simulator.hpp"
 #include "src/stats/gtest_stat.hpp"
 #include "src/stats/ttest.hpp"
+#include "tests/reference_simulator.hpp"
 
 namespace sca::testutil {
 
@@ -49,11 +50,7 @@ inline std::vector<ReferenceSet> reference_campaign(
   const bool ttest = options.statistic == eval::Statistic::kWelchTTest;
   const d::PreparedSets prepared = d::prepare_probe_sets(nl, options);
   const d::InputFeeder feeder(nl, options);
-  sim::ScheduleOptions schedule_options;
-  schedule_options.lanes = 64;
-  schedule_options.compile = false;
-  const sim::Schedule schedule(nl, schedule_options);
-  sim::Simulator simulator(schedule);
+  ReferenceSimulator simulator(nl);
   const common::CounterPrg prg(options.seed);
 
   std::vector<ReferenceSet> out;

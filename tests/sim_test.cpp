@@ -4,7 +4,6 @@
 #include "src/common/rng.hpp"
 #include "src/netlist/ir.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/sim/trace.hpp"
 
 namespace sca::sim {
 namespace {
@@ -159,60 +158,6 @@ TEST(Simulator, PipelineLatencyMatchesRegisterDepth) {
     }
     simulator.clock();
   }
-}
-
-
-TEST(VcdTrace, RendersChanges) {
-  netlist::Netlist nl;
-  const netlist::SignalId d = nl.add_input(netlist::InputRole::kControl, "d");
-  const netlist::SignalId q = nl.reg(d);
-  nl.name_signal(q, "q");
-  Simulator simulator(nl);
-  VcdTrace trace(simulator, {d, q});
-
-  simulator.set_input_all_lanes(d, true);
-  simulator.settle();
-  trace.sample(0);
-  simulator.clock();
-  simulator.set_input_all_lanes(d, false);
-  simulator.settle();
-  trace.sample(1);
-  simulator.clock();
-  simulator.settle();
-  trace.sample(2);
-
-  EXPECT_EQ(trace.sample_count(), 3u);
-  const std::string vcd = trace.render("tb");
-  EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(vcd.find("$scope module tb"), std::string::npos);
-  EXPECT_NE(vcd.find("#0"), std::string::npos);
-  EXPECT_NE(vcd.find("#1"), std::string::npos);
-  // q toggles 0 -> 1 -> 0 across the three samples.
-  EXPECT_NE(vcd.find("q $end"), std::string::npos);
-}
-
-TEST(VcdTrace, DefaultsToNamedSignals) {
-  netlist::Netlist nl;
-  const netlist::SignalId a = nl.add_input(netlist::InputRole::kControl, "a");
-  nl.not_(a);                      // unnamed
-  nl.name_signal(nl.not_(a), "nb");
-  Simulator simulator(nl);
-  VcdTrace trace(simulator, {});
-  simulator.settle();
-  trace.sample(0);
-  const std::string vcd = trace.render();
-  EXPECT_NE(vcd.find(" a "), std::string::npos);
-  EXPECT_NE(vcd.find(" nb "), std::string::npos);
-}
-
-TEST(VcdTrace, RejectsNonMonotonicTime) {
-  netlist::Netlist nl;
-  nl.add_input(netlist::InputRole::kControl, "a");
-  Simulator simulator(nl);
-  VcdTrace trace(simulator, {});
-  simulator.settle();
-  trace.sample(5);
-  EXPECT_THROW(trace.sample(5), common::Error);
 }
 
 }  // namespace
