@@ -46,7 +46,9 @@ struct SubPhaseSeconds {
 
 // Per-worker scratch: a private simulator over the shared schedule, the
 // sample buffer, packed-regime staging tiles, per-phase timers — and the
-// worker-lifetime count tables of the batch's live sets. Every table
+// worker-lifetime count tables of the batch's live sets: 16-bit counters
+// with an exact carry list (stats::CarryCountTable), a quarter of the
+// master's bytes, so the wide sets' histograms stay in cache. Every table
 // materializes its whole key space, so merging is a commutative integer
 // add: a worker accumulates across every cell it runs and folds into the
 // master exactly once (the thread pool's finalize hook), in any worker
@@ -55,7 +57,7 @@ struct WorkerCtx {
   explicit WorkerCtx(const sim::Schedule& schedule) : simulator(schedule) {}
   sim::Simulator simulator;
   std::vector<Sample> samples;
-  std::vector<stats::FlatCountTable> tables;
+  std::vector<stats::CarryCountTable> tables;
   std::vector<std::uint64_t> block_scratch;
   double simulate_seconds = 0.0;
   double accumulate_seconds = 0.0;
@@ -95,9 +97,9 @@ void accumulate_ttest(const accplan::AccumulationPlan& plan,
     for (const Sample& sample : buf) {
       // TVLA: per-lane Hamming weight of the (extended) observation, all
       // lanes per vertical-counter pass. Weight w of this sample's group
-      // counts at entry 2 * w.
-      std::uint64_t* const h =
-          ctx.tables[l].data() + static_cast<std::size_t>(sample.group);
+      // counts at entry 2 * w + group.
+      stats::CarryCountTable& table = ctx.tables[l];
+      const auto group = static_cast<std::size_t>(sample.group);
       vc.clear();
       for (std::uint32_t r : sp.rows)
         vc.add(code_word<kLimbs>(sample, num_rows, r));
@@ -106,7 +108,8 @@ void accumulate_ttest(const accplan::AccumulationPlan& plan,
           vc.add(code_word<kLimbs>(sample, num_rows, r + num_rows));
       for (unsigned b = 0; b < sample.active; ++b) {
         vc.lane_counts(b, hw.data());
-        for (unsigned lane = 0; lane < 64; ++lane) ++h[2 * hw[lane]];
+        for (unsigned lane = 0; lane < 64; ++lane)
+          table.add(2 * std::size_t{hw[lane]} + group, 1);
       }
     }
   }
@@ -143,16 +146,15 @@ void accumulate_narrow(const accplan::AccumulationPlan& plan,
         }
         continue;
       }
-      std::uint64_t* const counts =
-          ctx.tables[op.arg].data() + static_cast<std::size_t>(sample.group);
+      stats::CarryCountTable& table = ctx.tables[op.arg];
+      const auto group = static_cast<std::size_t>(sample.group);
       const Word* const lvl = levels.data() + (cnt - 1);
       if (full) {
         for (std::size_t key = 0; key < cnt; ++key)
-          counts[2 * key] += static_cast<std::uint64_t>(lvl[key].popcount());
+          table.add(2 * key + group, lvl[key].popcount());
       } else {
         for (std::size_t key = 0; key < cnt; ++key)
-          counts[2 * key] +=
-              static_cast<std::uint64_t>(lvl[key].popcount(sample.active));
+          table.add(2 * key + group, lvl[key].popcount(sample.active));
       }
     }
   }
@@ -185,7 +187,7 @@ void accumulate_compacted(const accplan::AccumulationPlan& plan,
   };
   for (std::uint32_t l : prog.compacted) {
     const accplan::SetAccPlan& sp = plan.sets[l];
-    std::uint64_t* const counts = ctx.tables[l].data();
+    stats::CarryCountTable& table = ctx.tables[l];
     const unsigned hw_shift = detail::hp_bits(sp.rows.size(), transitions);
     for (const Sample& sample : buf) {
       vc_now.clear();
@@ -212,7 +214,7 @@ void accumulate_compacted(const accplan::AccumulationPlan& plan,
                                   : hw_combos[c].popcount(sample.active);
         if (!cnt) continue;
         const std::uint64_t key = ((c & hn_mask) << hw_shift) | (c >> pn);
-        counts[2 * key + static_cast<std::size_t>(sample.group)] += cnt;
+        table.add(2 * key + static_cast<std::size_t>(sample.group), cnt);
       }
     }
   }
@@ -267,7 +269,7 @@ void accumulate_packed(const accplan::AccumulationPlan& plan,
     const auto t2 = Clock::now();
     for (std::uint32_t l : prog.packed) {
       const accplan::SetAccPlan& sp = plan.sets[l];
-      std::uint64_t* const counts = ctx.tables[l].data();
+      stats::CarryCountTable& table = ctx.tables[l];
       for (std::size_t s = 0; s < sn; ++s) {
         const Sample& sample = buf[s0 + s];
         const auto group = static_cast<std::size_t>(sample.group);
@@ -280,7 +282,7 @@ void accumulate_packed(const accplan::AccumulationPlan& plan,
               key |= common::extract_bits64(
                          base[std::size_t{g.block} * 64 + lane], g.mask)
                      << g.shift;
-            ++counts[2 * key + group];
+            table.add(2 * key + group, 1);
           }
         }
       }
@@ -420,8 +422,16 @@ using BatchRange = std::pair<std::size_t, std::size_t>;  // [begin, end) sets
 // bytes; the simulation re-runs per batch (it is cheap next to table
 // accumulation, and the PRG makes passes identical). The estimate charges
 // 64 bytes per expected bin (compacted sets: 1024 bins), and an exact set
-// at least its master and one worker table over the whole key space.
+// at least its u64 master and one worker's 16-bit table over the whole key
+// space. The grid is a function of the workload and the budget only, never
+// of the thread count: the batch grid is part of the fingerprint, and early
+// stopping is decided per batch. Workers beyond the first get tables only
+// where the budget leaves room (batch_workers).
 constexpr std::size_t kBytesPerBin = 64;
+
+std::size_t master_bytes(unsigned key_bits) {
+  return (std::size_t{2} << key_bits) * sizeof(std::uint64_t);
+}
 
 std::vector<BatchRange> plan_batches(const std::vector<PreparedSet>& sets,
                                      std::size_t samples_total,
@@ -439,8 +449,9 @@ std::vector<BatchRange> plan_batches(const std::vector<PreparedSet>& sets,
           samples_total);
       std::size_t bytes = est_bins * kBytesPerBin;
       if (!set.compacted)
-        bytes = std::max<std::size_t>(bytes,
-                                      std::size_t{32} << set.observation_bits);
+        bytes = std::max(bytes,
+                         master_bytes(set.observation_bits) +
+                             stats::CarryCountTable::bytes(set.observation_bits));
       if (end > begin && budget_used + bytes > batch_budget) break;
       budget_used += bytes;
     }
@@ -454,11 +465,10 @@ std::vector<BatchRange> plan_batches(const std::vector<PreparedSet>& sets,
 // seed, budget, chunk/stage/batch grids, sampling parameters, and the
 // prepared probe sets. Thread count and lane width are deliberately
 // excluded (the statistics are bit-identical across both by contract, so
-// resuming across them is sound); the sample-major batch grid covers the
-// one way threads could matter, since the memory budget splits per worker.
-// A set-major campaign feeds a driver tag instead: it has no batch grid,
-// its snapshots hold no tables, and its driver choice ignores the thread
-// count, so its snapshots resume at any thread count. The
+// resuming across them is sound), and neither driver's grid depends on
+// them. A sample-major campaign feeds its batch grid; a set-major campaign
+// feeds a driver tag instead: it has no batch grid and its snapshots hold
+// no tables. Snapshots of both resume at any thread count. The
 // accumulation plan (hosting, sharding, CSE structure) is excluded too: it
 // is a pure function of the prepared sets and the options, snapshots carry
 // fully materialized per-set tables, and hosted masters recompute their
@@ -529,6 +539,24 @@ Batch compile_batch(const detail::PreparedSets& prepared, BatchRange range,
   return batch;
 }
 
+// Workers that hold tables for a sample-major batch: as many as the table
+// budget leaves room for next to the batch's masters, at least one and at
+// most the thread count. Capping workers, never the grid, keeps a batch's
+// memory within the budget at any thread count.
+unsigned batch_workers(const Batch& batch, const CampaignSnapshot& state,
+                       std::size_t budget, unsigned threads) {
+  std::size_t masters = 0, worker = 0;
+  for (std::size_t l = 0; l < state.sets.size(); ++l) {
+    const unsigned key_bits = state.sets[l].key_bits();
+    masters += master_bytes(key_bits);
+    if (batch.plan.sets[l].regime != accplan::AccRegime::kHosted)
+      worker += stats::CarryCountTable::bytes(key_bits);
+  }
+  if (worker == 0 || masters + worker >= budget) return 1;
+  return static_cast<unsigned>(std::clamp<std::size_t>(
+      (budget - masters) / worker, 1, threads));
+}
+
 // Everything a stage pass reads but never writes.
 struct StageContext {
   const CampaignOptions& options;
@@ -542,13 +570,13 @@ struct StageContext {
 // One simulation pass over the chunks [chunk_begin, chunk_end) — one
 // evaluation stage — accumulating the batch's live sets into their master
 // tables (state.sets) under the compiled plan, scheduled over the worker
-// pool as (chunk x shard) cells. Each worker accumulates every cell it
-// runs into its own tables and adds them to the masters once, when it
-// drains. Integer adds commute, so neither the cell order nor the worker
-// count can change a count, and the concatenation of stage passes stays
-// bit-identical to one full pass. Hosted sets get no accumulator at all —
+// pool as (chunk x shard) cells on `workers` workers. Each worker
+// accumulates every cell it runs into its own tables and adds them to the
+// masters once, when it drains. Integer adds commute, so neither the cell
+// order nor the worker count can change a count, and the concatenation of
+// stage passes stays bit-identical to one full pass. Hosted sets get no accumulator at all —
 // their counts are marginalized from their host after the stage.
-void run_stage(const StageContext& cx, const Batch& batch,
+void run_stage(const StageContext& cx, const Batch& batch, unsigned workers,
                std::size_t chunk_begin, std::size_t chunk_end,
                CampaignSnapshot& state, SubPhaseSeconds& sub) {
   const accplan::AccumulationPlan& plan = batch.plan;
@@ -559,13 +587,13 @@ void run_stage(const StageContext& cx, const Batch& batch,
   };
   std::mutex merge_mutex;
   common::parallel_for_stateful(
-      (chunk_end - chunk_begin) * shards, cx.threads,
+      (chunk_end - chunk_begin) * shards, workers,
       [&] {
         WorkerCtx ctx(cx.schedule);
         ctx.tables.resize(masters.size());
         for (std::size_t l = 0; l < masters.size(); ++l)
           if (live(l))
-            ctx.tables[l] = stats::FlatCountTable(masters[l].key_bits());
+            ctx.tables[l] = stats::CarryCountTable(masters[l].key_bits());
         return ctx;
       },
       [&](WorkerCtx& ctx, std::size_t cell) {
@@ -597,7 +625,7 @@ void run_stage(const StageContext& cx, const Batch& batch,
         std::lock_guard<std::mutex> lock(merge_mutex);
         const auto merge_start = Clock::now();
         for (std::size_t l = 0; l < masters.size(); ++l)
-          if (live(l)) masters[l].merge(ctx.tables[l]);
+          if (live(l)) ctx.tables[l].add_to(masters[l]);
         state.merge_seconds += seconds_between(merge_start, Clock::now());
         state.simulate_seconds += ctx.simulate_seconds;
         state.accumulate_seconds += ctx.accumulate_seconds;
@@ -843,13 +871,15 @@ void drive_sample_major(Driver& d, unsigned shard_target) {
       for (std::size_t si = range.first; si < range.second; ++si)
         state.sets.emplace_back(detail::table_key_bits(
             d.prepared.sets[si], d.cx.transitions, d.ttest));
+    const unsigned workers = batch_workers(
+        batch, state, d.options.table_memory_budget, d.cx.threads);
 
     double stage_secs = 0.0;
     while (true) {
       const std::size_t s = state.stages_done;
       const auto stage_start = Clock::now();
-      run_stage(d.cx, batch, grid.stage_bounds[s], grid.stage_bounds[s + 1],
-                state, d.sub);
+      run_stage(d.cx, batch, workers, grid.stage_bounds[s],
+                grid.stage_bounds[s + 1], state, d.sub);
       materialize_hosted(batch, state);
       stage_secs = seconds_between(stage_start, Clock::now());
       ++state.stages_done;
@@ -1402,16 +1432,11 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
           ? static_cast<unsigned>(
                 common::ceil_div(std::size_t{threads}, grid.num_chunks))
           : 1;
-  // Each sample-major worker holds its own tables next to the masters, so
-  // the per-batch share of the table budget shrinks with the thread count.
   // A set-major campaign is one batch of every set.
   const std::vector<BatchRange> batches =
-      set_major
-          ? std::vector<BatchRange>{{0, prepared.sets.size()}}
-          : plan_batches(prepared.sets, samples_total,
-                         std::max<std::size_t>(options.table_memory_budget /
-                                                   (std::size_t{threads} + 1),
-                                               kBytesPerBin));
+      set_major ? std::vector<BatchRange>{{0, prepared.sets.size()}}
+                : plan_batches(prepared.sets, samples_total,
+                               options.table_memory_budget);
   const std::uint64_t fingerprint = campaign_fingerprint(
       options, feeder, grid, batches, set_major, prepared.sets);
 

@@ -138,9 +138,11 @@ struct CampaignOptions {
   /// runs sample-major: large order-2 campaigns are split into probe-set
   /// batches, re-running the (cheap, seeded) simulation once per batch to
   /// stay under the budget. A batch's tables exist only while it runs: the
-  /// budget covers one batch's master tables plus every worker's own
-  /// tables, so the per-batch share shrinks as the thread count grows. The
-  /// driver choice itself never depends on the thread count or lane width.
+  /// budget covers one batch's 64-bit master tables plus one worker's
+  /// 16-bit tables, and further workers hold tables only as far as the
+  /// rest of the budget allows (a batch runs on fewer threads rather than
+  /// on a thread-dependent grid). Neither the driver choice nor the batch
+  /// grid depends on the thread count or lane width.
   std::size_t table_memory_budget = std::size_t{4096} * 1024 * 1024;
 
   // --- staged evaluation --------------------------------------------------

@@ -106,13 +106,6 @@ void FlatCountTable::add(std::uint64_t key, int group, std::uint64_t count) {
           static_cast<std::size_t>(group)] += count;
 }
 
-void FlatCountTable::merge(const FlatCountTable& other) {
-  SCA_ASSERT(other.counts_.size() == counts_.size(),
-             "FlatCountTable: merge across key spaces");
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
-}
-
 void FlatCountTable::add_marginalized(const FlatCountTable& host,
                                       std::uint64_t key_mask) {
   SCA_ASSERT(!counts_.empty() &&
@@ -163,6 +156,21 @@ std::uint64_t FlatCountTable::group_total(int group) const {
 }
 
 void FlatCountTable::clear() { std::fill(counts_.begin(), counts_.end(), 0); }
+
+CarryCountTable::CarryCountTable(unsigned key_bits)
+    : counts_(std::size_t{2} << key_bits, 0) {
+  SCA_ASSERT(key_bits <= FlatCountTable::kMaxKeyBits,
+             "CarryCountTable: key space too large");
+}
+
+void CarryCountTable::add_to(FlatCountTable& master) const {
+  SCA_ASSERT(counts_.size() == master.counts_.size(),
+             "CarryCountTable: merge across key spaces");
+  for (std::size_t i = 0; i < counts_.size(); ++i)
+    master.counts_[i] += counts_[i];
+  for (std::uint32_t entry : carries_)
+    master.counts_[entry] += std::uint64_t{1} << 16;
+}
 
 namespace {
 

@@ -35,8 +35,9 @@ struct GTestResult {
 /// accumulator is one of these. Exact probe sets key it by their
 /// observation bits, compacted sets by their Hamming-weight pair, and
 /// t-test sets by their Hamming weight.
-/// Because the whole key space is materialized, merge() is a commutative
-/// integer add: no reduction order can change a count.
+/// Because the whole key space is materialized, folding a worker's
+/// CarryCountTable into it is a commutative integer add: no reduction
+/// order can change a count.
 class FlatCountTable {
  public:
   /// Exact observations at most this wide are tabulated as they are; the
@@ -57,10 +58,6 @@ class FlatCountTable {
 
   /// Adds `count` observations of `key` to group 0 (fixed) or 1 (random).
   void add(std::uint64_t key, int group, std::uint64_t count = 1);
-
-  /// Adds another table over the same key space, count by count — the
-  /// reduction of a parallel campaign, independent of merge order.
-  void merge(const FlatCountTable& other);
 
   /// Marginalization: folds `host`'s counts onto this table's smaller key
   /// space, where this table's key is the parallel bit extract of the host
@@ -107,13 +104,48 @@ class FlatCountTable {
 
   bool operator==(const FlatCountTable& other) const = default;
 
-  /// Raw storage, entry 2*key + group — the campaign's innermost histogram
-  /// loops increment it without a per-bin call.
-  std::uint64_t* data() { return counts_.data(); }
-
  private:
+  friend class CarryCountTable;  // folds its counters into counts_
+
   unsigned key_bits_ = 0;
   std::vector<std::uint64_t> counts_;  // 2 << key_bits_ entries once sized
+};
+
+/// A worker's private counts for one FlatCountTable: the same entries
+/// (2 * key + group) in 16-bit counters, plus the list of entries whose
+/// counter wrapped. Each listed entry stands for 2^16 observations the
+/// counter no longer holds, so add_to() restores the exact 64-bit counts
+/// at any budget, with no flush schedule. A quarter of the u64 table's
+/// bytes keeps the wide-set histograms cache-resident; wraps are at most
+/// one per 2^16 observations.
+class CarryCountTable {
+ public:
+  CarryCountTable() = default;
+
+  /// Zeroed counters over the entries of a FlatCountTable of `key_bits`.
+  explicit CarryCountTable(unsigned key_bits);
+
+  /// Adds `n` (< 2^16) to `entry`.
+  void add(std::size_t entry, unsigned n) {
+    const std::uint16_t old = counts_[entry];
+    const auto now = static_cast<std::uint16_t>(old + n);
+    counts_[entry] = now;
+    if (now < old) [[unlikely]]
+      carries_.push_back(static_cast<std::uint32_t>(entry));
+  }
+
+  /// Adds every count to `master`, which spans the same key space — the
+  /// reduction of a parallel campaign, independent of merge order.
+  void add_to(FlatCountTable& master) const;
+
+  /// Bytes of counters a table of `key_bits` holds.
+  static std::size_t bytes(unsigned key_bits) {
+    return (std::size_t{2} << key_bits) * sizeof(std::uint16_t);
+  }
+
+ private:
+  std::vector<std::uint16_t> counts_;
+  std::vector<std::uint32_t> carries_;  // one entry per 2^16 wrap
 };
 
 /// G-test over explicit columns {fixed count, random count}, taken in the

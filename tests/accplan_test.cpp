@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -327,14 +328,95 @@ TEST(AccPlanCampaign, ProbeSetShardsEngageAndPreserveStatistics) {
   expect_identical(single, sharded, "2-D shard schedule");
 }
 
+// Two unmasked 8-bit secrets, registered (so a probe's glitch extension
+// stops at the registers) and XOR-reduced: under fixed secrets every
+// observation of the fixed group is one constant key. One tree over 12
+// register bits is a packed set, one over all 16 is compacted under a
+// 12-bit cap, and a second register stage over 4 bits of secret 0, reduced,
+// is a narrow set with no exact superset to host it.
+Netlist constant_key_netlist() {
+  Netlist nl;
+  const auto secret = [&](std::uint32_t s, const std::string& name) {
+    return gadgets::reg_bus(
+        nl, gadgets::xor_bus(
+                nl,
+                gadgets::make_input_bus(nl, 8, netlist::InputRole::kShare,
+                                        name + "0_", s, 0),
+                gadgets::make_input_bus(nl, 8, netlist::InputRole::kShare,
+                                        name + "1_", s, 1)));
+  };
+  const gadgets::Bus r = secret(0, "a");
+  const gadgets::Bus t = secret(1, "c");
+  const auto reduce = [&](const gadgets::Bus& bits) {
+    netlist::SignalId acc = bits[0];
+    for (std::size_t i = 1; i < bits.size(); ++i) acc = nl.xor_(acc, bits[i]);
+    return acc;
+  };
+  gadgets::Bus wide = r;
+  wide.insert(wide.end(), t.begin(), t.begin() + 4);
+  const netlist::SignalId packed = reduce(wide);
+  nl.xor_(packed, reduce(gadgets::Bus(t.begin() + 4, t.end())));
+  reduce(gadgets::reg_bus(nl, gadgets::Bus(r.begin(), r.begin() + 4)));
+  return nl;
+}
+
+TEST(AccPlanCampaign, CarriesKeepCountsExactInEveryRegime) {
+  // Worker tables count in 16 bits and list every wrap. Each fixed-group
+  // key below is hit once per fixed observation, and 300k observations
+  // exceed threads x 65,535, so some worker's counter wraps in every live
+  // set — narrow, packed and compacted (G-test) and Hamming-weight
+  // (t-test). The counts must still be the reference campaign's exactly,
+  // at both thread counts and lane widths.
+  const Netlist nl = constant_key_netlist();
+  for (eval::Statistic statistic :
+       {eval::Statistic::kGTest, eval::Statistic::kWelchTTest}) {
+    eval::CampaignOptions base;
+    base.model = eval::ProbeModel::kGlitch;
+    base.statistic = statistic;
+    base.simulations = 300000;
+    base.max_observation_bits = 12;
+    base.fixed_values = {{0, 0x00}, {1, 0x00}};
+    base.seed = 11;
+    const auto reference = testutil::reference_campaign(nl, base);
+    if (statistic == eval::Statistic::kGTest) {
+      std::vector<std::size_t> exact_bits, compacted_bits;
+      for (const testutil::ReferenceSet& r : reference) {
+        (r.compacted ? compacted_bits : exact_bits)
+            .push_back(r.key_bits);
+        EXPECT_GE(r.g.n_fixed, 4u * 65535u) << r.name;
+      }
+      EXPECT_NE(std::find(exact_bits.begin(), exact_bits.end(), 12u),
+                exact_bits.end());
+      EXPECT_NE(std::find(exact_bits.begin(), exact_bits.end(), 4u),
+                exact_bits.end());
+      EXPECT_FALSE(compacted_bits.empty());
+    }
+    for (unsigned lanes : {64u, 512u}) {
+      for (unsigned threads : {1u, 4u}) {
+        eval::CampaignOptions opts = base;
+        opts.lanes = lanes;
+        opts.threads = threads;
+        const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
+        EXPECT_FALSE(r.set_major);
+        expect_matches_reference(
+            r, reference,
+            std::string(statistic == eval::Statistic::kGTest ? "G" : "t") +
+                "-test " + std::to_string(lanes) + " lanes / " +
+                std::to_string(threads) + " threads");
+      }
+    }
+  }
+}
+
 // --- set-major driver ---------------------------------------------------------
 
-TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAcrossLanesAndThreads) {
-  // The order-2 glitch+transition campaign over the 21-bit Kronecker has
-  // tens of thousands of sets, hosted chains and compacted sets, so the
-  // default table budget picks the set-major driver: one trace, counted
-  // per host group. Its statistics must be the reference campaign's, bit
-  // for bit, at every lane width and thread count.
+// The order-2 glitch+transition campaign over the 21-bit Kronecker has
+// tens of thousands of sets, hosted chains and compacted sets, so the
+// default table budget picks the set-major driver: one trace, counted per
+// host group. Its statistics must be the reference campaign's, bit for
+// bit, at every lane width and thread count. One test per lane width, so
+// the three run side by side.
+void expect_kron2_order2_matches_reference(unsigned lanes) {
   const Netlist nl = kronecker_netlist(RandomnessPlan::kron2_full_fresh(), 3);
   eval::CampaignOptions base = campaign_options(2048);
   base.model = eval::ProbeModel::kGlitchTransition;
@@ -343,22 +425,32 @@ TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAcrossLanesAndThreads) {
   bool any_compacted = false;
   for (const testutil::ReferenceSet& r : reference) any_compacted |= r.compacted;
   EXPECT_TRUE(any_compacted);
-  for (unsigned lanes : {64u, 256u, 512u}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      eval::CampaignOptions opts = base;
-      opts.lanes = lanes;
-      opts.threads = threads;
-      const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
-      const std::string tag = "set-major " + std::to_string(lanes) +
-                              " lanes / " + std::to_string(threads) +
-                              " threads";
-      EXPECT_TRUE(r.set_major) << tag;
-      EXPECT_EQ(r.table_batches, 1u) << tag;
-      EXPECT_GT(r.hosted_sets, 0u) << tag;
-      EXPECT_EQ(r.simulations_done, r.simulations_per_group) << tag;
-      expect_matches_reference(r, reference, tag);
-    }
+  for (unsigned threads : {1u, 2u, 8u}) {
+    eval::CampaignOptions opts = base;
+    opts.lanes = lanes;
+    opts.threads = threads;
+    const eval::CampaignResult r = eval::run_fixed_vs_random(nl, opts);
+    const std::string tag = "set-major " + std::to_string(lanes) +
+                            " lanes / " + std::to_string(threads) +
+                            " threads";
+    EXPECT_TRUE(r.set_major) << tag;
+    EXPECT_EQ(r.table_batches, 1u) << tag;
+    EXPECT_GT(r.hosted_sets, 0u) << tag;
+    EXPECT_EQ(r.simulations_done, r.simulations_per_group) << tag;
+    expect_matches_reference(r, reference, tag);
   }
+}
+
+TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAt64Lanes) {
+  expect_kron2_order2_matches_reference(64);
+}
+
+TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAt256Lanes) {
+  expect_kron2_order2_matches_reference(256);
+}
+
+TEST(SetMajorCampaign, Kron2Order2MatchesReferenceAt512Lanes) {
+  expect_kron2_order2_matches_reference(512);
 }
 
 TEST(SetMajorCampaign, FirstOrderTtestUnderATightBudget) {

@@ -214,6 +214,48 @@ TEST(Checkpoint, ResumeUnderTableBatching) {
   }
 }
 
+TEST(Checkpoint, BatchGridIsThreadIndependent) {
+  // Early stopping is decided per sample-major table batch, and the batch
+  // grid is in the fingerprint, so the grid must be a function of the
+  // workload and the table budget only: 1 and 4 threads stop at the same
+  // point with byte-identical verdicts, and a snapshot written at 1 thread
+  // resumes at 4. At 64 KiB every set fits one batch; at 4 KiB the sets
+  // take several batches, the leak is found in a later one, and stage 3
+  // falls inside the first.
+  const Netlist nl = kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
+  for (const std::size_t kib : {64u, 4u}) {
+    auto make = [&](unsigned threads) {
+      CampaignOptions opts = staged_options(200000, 8, threads);
+      opts.table_memory_budget = kib * 1024;
+      opts.early_stop_stages = 1;
+      opts.seed = 11;
+      return opts;
+    };
+    const std::string tag = std::to_string(kib) + " KiB";
+    const CampaignResult one = run_fixed_vs_random(nl, make(1));
+    ASSERT_FALSE(one.set_major) << tag;
+    EXPECT_TRUE(one.early_stopped) << tag;
+    const std::string expected = verdict_json(one);
+    EXPECT_EQ(verdict_json(run_fixed_vs_random(nl, make(4))), expected)
+        << tag;
+    if (kib == 64) continue;
+
+    EXPECT_GT(one.table_batches, 1u);
+    EXPECT_GT(one.unevaluated_sets, 0u);
+    CampaignOptions opts = make(1);
+    opts.checkpoint_path = ckpt_path("grid_xthreads");
+    opts.stop_after_stage = 3;
+    ASSERT_TRUE(run_fixed_vs_random(nl, opts).interrupted);
+    CampaignOptions resume = make(4);
+    resume.checkpoint_path = opts.checkpoint_path;
+    resume.resume = true;
+    const CampaignResult resumed = run_fixed_vs_random(nl, resume);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(verdict_json(resumed), expected);
+    std::remove(opts.checkpoint_path.c_str());
+  }
+}
+
 TEST(Checkpoint, ResumeWelchTTest) {
   // The t-test path checkpoints integer Hamming-weight histograms, so the
   // t statistic after resume is the same fold of the same counts.

@@ -28,11 +28,11 @@
 
 namespace sca::testutil {
 
-// One probe set of the reference run: its count table and its statistic.
+// One probe set of the reference run: its key space and its statistic.
 struct ReferenceSet {
   std::string name;
   bool compacted = false;
-  stats::FlatCountTable table;
+  unsigned key_bits = 0;
   stats::GTestResult g;  // G-test campaigns
   stats::TTestResult t;  // t-test campaigns
   double severity = 0.0;
@@ -41,7 +41,9 @@ struct ReferenceSet {
 // Runs the campaign `options` describes (model, order, statistic, budget,
 // seed, scope, fixed values, nonzero buses, sampling) and ignores its
 // execution knobs: threads, lanes, stages, checkpoints, table budget.
-// Returns the sets in evaluation order.
+// Returns the sets in evaluation order. Every run's samples are kept; then
+// one set at a time is counted over all of them, finalized and its table
+// freed, so one count table is resident at a time.
 inline std::vector<ReferenceSet> reference_campaign(
     const netlist::Netlist& nl, const eval::CampaignOptions& options) {
   namespace d = eval::detail;
@@ -53,56 +55,56 @@ inline std::vector<ReferenceSet> reference_campaign(
   ReferenceSimulator simulator(nl);
   const common::CounterPrg prg(options.seed);
 
-  std::vector<ReferenceSet> out;
-  for (const d::PreparedSet& p : prepared.sets)
-    out.push_back({p.name, p.compacted,
-                   stats::FlatCountTable(
-                       d::table_key_bits(p, transitions, ttest)),
-                   {}, {}, 0.0});
   const std::size_t runs = common::ceil_div(
       std::max<std::size_t>(options.simulations, 64),
       64 * feeder.samples_per_run);
-  std::vector<d::Sample> samples;
+  std::vector<d::Sample> samples, run_samples;
   for (std::size_t run = 0; run < runs; ++run) {
     // Every stable point is a row, so row r is stable point r.
     d::produce_samples(simulator, feeder, prg, run, /*active=*/1,
-                       transitions, prepared.stable_points, samples);
-    for (std::size_t i = 0; i < prepared.sets.size(); ++i) {
-      const std::vector<std::size_t>& rows = prepared.sets[i].dense;
-      const unsigned hw_shift = d::hp_bits(rows.size(), transitions);
-      for (const d::Sample& s : samples) {
-        for (unsigned lane = 0; lane < 64; ++lane) {
-          std::uint64_t now_bits = 0, prev_bits = 0;
-          unsigned hn = 0, hp = 0;
-          for (std::size_t k = 0; k < rows.size(); ++k) {
-            const std::uint64_t n = (s.now[rows[k]] >> lane) & 1u;
-            const std::uint64_t p =
-                transitions ? (s.prev[rows[k]] >> lane) & 1u : 0;
-            now_bits |= n << k;
-            prev_bits |= p << k;
-            hn += static_cast<unsigned>(n);
-            hp += static_cast<unsigned>(p);
-          }
-          std::uint64_t key;
-          if (ttest)
-            key = hn + hp;
-          else if (out[i].compacted)
-            key = (std::uint64_t{hn} << hw_shift) | hp;
-          else
-            key = now_bits | (prev_bits << rows.size());
-          out[i].table.add(key, s.group);
+                       transitions, prepared.stable_points, run_samples);
+    samples.insert(samples.end(), run_samples.begin(), run_samples.end());
+  }
+
+  std::vector<ReferenceSet> out;
+  out.reserve(prepared.sets.size());
+  for (const d::PreparedSet& p : prepared.sets) {
+    ReferenceSet r{p.name, p.compacted, d::table_key_bits(p, transitions, ttest),
+                   {}, {}, 0.0};
+    stats::FlatCountTable table(r.key_bits);
+    const std::vector<std::size_t>& rows = p.dense;
+    const unsigned hw_shift = d::hp_bits(rows.size(), transitions);
+    for (const d::Sample& s : samples) {
+      for (unsigned lane = 0; lane < 64; ++lane) {
+        std::uint64_t now_bits = 0, prev_bits = 0;
+        unsigned hn = 0, hp = 0;
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          const std::uint64_t n = (s.now[rows[k]] >> lane) & 1u;
+          const std::uint64_t v =
+              transitions ? (s.prev[rows[k]] >> lane) & 1u : 0;
+          now_bits |= n << k;
+          prev_bits |= v << k;
+          hn += static_cast<unsigned>(n);
+          hp += static_cast<unsigned>(v);
         }
+        std::uint64_t key;
+        if (ttest)
+          key = hn + hp;
+        else if (r.compacted)
+          key = (std::uint64_t{hn} << hw_shift) | hp;
+        else
+          key = now_bits | (prev_bits << rows.size());
+        table.add(key, s.group);
       }
     }
-  }
-  for (ReferenceSet& r : out) {
     if (ttest) {
-      r.t = d::hw_t_test(r.table);
+      r.t = d::hw_t_test(table);
       r.severity = std::abs(r.t.t);
     } else {
-      r.g = r.table.g_test();
+      r.g = table.g_test();
       r.severity = r.g.minus_log10_p;
     }
+    out.push_back(std::move(r));
   }
   return out;
 }

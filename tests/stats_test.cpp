@@ -125,12 +125,13 @@ TEST(GTestStat, SingleBinGivesZero) {
 }
 
 TEST(GTestStat, MergeAccumulates) {
-  FlatCountTable a(2), b(2);
+  FlatCountTable a(2);
+  CarryCountTable b(2);
   a.add(1, 0, 10);
   a.add(2, 1, 5);
-  b.add(1, 0, 7);
-  b.add(3, 1, 2);
-  a.merge(b);
+  b.add(2 * 1 + 0, 7);
+  b.add(2 * 3 + 1, 2);
+  b.add_to(a);
   EXPECT_EQ(a.group_total(0), 17u);
   EXPECT_EQ(a.group_total(1), 7u);
   EXPECT_EQ(a.bin_count(), 3u);
@@ -305,17 +306,18 @@ TEST(FlatCountTable, AddMarginalizedEqualsDirectAccumulation) {
 
 TEST(FlatCountTable, FlatMergeMatchesScalarReplay) {
   common::Xoshiro256 rng(53);
-  // Master <- two chunk tables must equal replaying every observation into
+  // Master <- two worker tables must equal replaying every observation into
   // one table.
-  FlatCountTable master(8), chunk_a(8), chunk_b(8), replay(8);
+  FlatCountTable master(8), replay(8);
+  CarryCountTable chunk_a(8), chunk_b(8);
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t key = rng.below(256);
     const int group = static_cast<int>(rng.bit());
-    (i % 2 ? chunk_a : chunk_b).add(key, group);
+    (i % 2 ? chunk_a : chunk_b).add(2 * key + group, 1);
     replay.add(key, group);
   }
-  master.merge(chunk_a);
-  master.merge(chunk_b);
+  chunk_a.add_to(master);
+  chunk_b.add_to(master);
   EXPECT_EQ(master, replay);
   EXPECT_EQ(master.g_test().g, replay.g_test().g);
 }
@@ -325,16 +327,34 @@ TEST(FlatCountTable, MergeIsOrderFree) {
   // workers finish; every order must give the same table and the same
   // G statistic.
   common::Xoshiro256 rng(59);
-  std::vector<FlatCountTable> chunks(5, FlatCountTable(7));
+  std::vector<CarryCountTable> chunks(5, CarryCountTable(7));
   for (int i = 0; i < 5000; ++i)
-    chunks[rng.below(5)].add(rng.below(128), static_cast<int>(rng.bit()));
+    chunks[rng.below(5)].add(2 * rng.below(128) + rng.bit(), 1);
   FlatCountTable forward(7), backward(7);
-  for (const auto& chunk : chunks) forward.merge(chunk);
+  for (const auto& chunk : chunks) chunk.add_to(forward);
   for (auto it = chunks.rbegin(); it != chunks.rend(); ++it)
-    backward.merge(*it);
+    it->add_to(backward);
   EXPECT_EQ(forward, backward);
   EXPECT_EQ(forward.g_test().g, backward.g_test().g);
   EXPECT_EQ(forward.group_total(0) + forward.group_total(1), 5000u);
+}
+
+TEST(CarryCountTable, CarriesRestoreTheExactSum) {
+  // 70,000 single increments and 300 adds of 512 on one entry wrap the
+  // 16-bit counter three times; add_to() must restore the u64 sum, on top
+  // of what the master already holds, and leave other entries alone.
+  CarryCountTable worker(4);
+  FlatCountTable master(4), expected(4);
+  master.add(5, 1, 7);
+  expected.add(5, 1, 7);
+  for (int i = 0; i < 70000; ++i) worker.add(2 * 5 + 1, 1);
+  for (int i = 0; i < 300; ++i) worker.add(2 * 5 + 1, 512);
+  worker.add(2 * 3, 9);
+  expected.add(5, 1, 70000 + 300 * 512);
+  expected.add(3, 0, 9);
+  worker.add_to(master);
+  EXPECT_EQ(master, expected);
+  EXPECT_EQ(master.counts_for(5)[1], 7u + 70000u + 300u * 512u);
 }
 
 TEST(FlatCountTable, KeysOutsideTheSpaceAreRejected) {
@@ -342,8 +362,7 @@ TEST(FlatCountTable, KeysOutsideTheSpaceAreRejected) {
   EXPECT_THROW(table.add(16, 0), common::Error);
   EXPECT_THROW(table.add(3, 2), common::Error);
   EXPECT_EQ(table.counts_for(16), (std::array<std::uint64_t, 2>{0, 0}));
-  FlatCountTable other(5);
-  EXPECT_THROW(table.merge(other), common::Error);
+  EXPECT_THROW(CarryCountTable(5).add_to(table), common::Error);
   FlatCountTable unsized;
   EXPECT_THROW(unsized.add(0, 0), common::Error);
 }
